@@ -62,7 +62,7 @@ from .timedomain import (
 )
 from .transforms import dft, idft, periodogram, wavedec
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError",

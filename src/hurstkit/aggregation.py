@@ -55,15 +55,21 @@ def block_sum_std(x, m):
 def _block_sum_std_profile(arr, m_max):
     """s_m for m = 1..m_max via running-total differences.
 
-    Algebraically identical to calling block_sum_std per scale, but
-    O(N log m_max) instead of O(N * m_max).
+    Algebraically identical to calling block_sum_std per scale.  Scales
+    that share a block count k = N//m are handled together: one gather of
+    their block edges from the running totals, then one row-wise std.  Above
+    m = sqrt(N) many scales share each k, so the loop runs about 2*sqrt(N)
+    times rather than m_max times, and no gather holds more than O(N) floats.
     """
     totals = np.concatenate([[0.0], np.cumsum(arr)])
+    ms = np.arange(1, m_max + 1)
+    ks = arr.size // ms
+    bounds = np.flatnonzero(np.diff(ks, prepend=-1, append=-1))
     out = np.empty(m_max)
-    for m in range(1, m_max + 1):
-        k = arr.size // m
-        edges = totals[m * np.arange(k + 1)]
-        out[m - 1] = np.std(edges[1:] - edges[:-1], ddof=1)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = ms[lo:hi]
+        edges = totals[group[:, None] * np.arange(ks[lo] + 1)]
+        out[lo:hi] = np.std(np.diff(edges, axis=1), axis=1, ddof=1)
     return out
 
 

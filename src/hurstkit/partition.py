@@ -6,6 +6,12 @@ candidate length in [ceil(alpha*N), N] with the most "bounded proper factors"
 -- divisors d with w <= d <= a//w -- and partition only that prefix.  Every
 window size used downstream then tiles the prefix exactly, and only a small
 tail (at most (1-alpha)*N samples) is discarded.
+
+The search counts bounded factors for every candidate at once with a divisor
+sieve: each d in [w, N//w] marks its multiples a in the candidate window that
+satisfy d*w <= a, and a bincount over the marks gives every candidate's
+count.  The marks number about (1-alpha)*N*ln(N/w^2) + N/w, so the search
+costs O(N) array work and no Python loop over candidates.
 """
 
 from dataclasses import dataclass
@@ -96,12 +102,6 @@ def gen_sbpf(a, w):
     return [int(d) for d in cand[a % cand == 0]]
 
 
-def _bpf_count(a, w):
-    # count-only variant of gen_sbpf for the search loop
-    cand = np.arange(w, a // w + 1)
-    return int(np.count_nonzero(a % cand == 0))
-
-
 def search_opt_seq_len(n, w, alpha=DEFAULT_ALPHA):
     """Pick the length in [ceil(alpha*n), n] with the most bounded proper factors.
 
@@ -126,15 +126,19 @@ def search_opt_seq_len(n, w, alpha=DEFAULT_ALPHA):
         raise InsufficientDataError(f"need n >= w^2 = {w * w}, got {n}")
 
     lo = int(np.ceil(alpha * n))
-    best_len, best_count = lo, -1
-    for i in range(lo, n + 1):
-        c = _bpf_count(i, w)
-        if c >= best_count:  # >= : later (larger) candidates win ties
-            best_len, best_count = i, c
-    if best_count == 0:
+    d = np.arange(w, n // w + 1)
+    # first multiple of d that is both in the window and >= d*w
+    first = np.maximum(-(-lo // d), w) * d
+    reps = np.maximum((n - first) // d + 1, 0)
+    offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    marks = np.repeat(first - lo, reps) + offsets * np.repeat(d, reps)
+    counts = np.bincount(marks, minlength=n - lo + 1)
+    best = counts.size - 1 - int(np.argmax(counts[::-1]))  # largest wins ties
+    if counts[best] == 0:
         raise NoPartitionError(
             f"no length in [{lo}, {n}] has a factor in [{w}, length//{w}]"
         )
+    best_len = lo + best
     return best_len, gen_sbpf(best_len, w)
 
 

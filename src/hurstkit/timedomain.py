@@ -30,7 +30,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .numerics import format_power_law_data, linear_regr_solver
-from .partition import (
+from .partition import (  # noqa: F401  seq_partition: perfbench traces this name
     as_series,
     cumulative_bias,
     search_opt_seq_len,
@@ -71,7 +71,7 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
     excluded = 0
     for m in factors:
         k = n_opt // m
-        means = seq_partition(arr, m, k).mean(axis=1)
+        means = arr[:n_opt].reshape(k, m).mean(axis=1)
         if r == 1:
             nu = float(np.abs(means).mean())  # grand mean is zero by _prepared
         else:
@@ -164,6 +164,31 @@ def est_higuchi(x, flag=2):
     )
 
 
+def _detrended_stds(segments, flag):
+    """Residual std of each row after an affine fit against t = 1..m.
+
+    For flag 2 the least-squares line has a closed form: with the abscissa
+    centred once (tc), each row is demeaned and then loses its projection on
+    tc.  The residual is formed explicitly rather than as sum z^2 - b^2 sum
+    tc^2: that difference cancels on near-linear rows and can even come out
+    negative, while the explicit residual of a row that detrends exactly is
+    exactly 0, which the stds > 0 exclusion in est_dfa relies on.
+    """
+    k, m = segments.shape
+    t = np.arange(1.0, m + 1.0)
+    if flag == 2:
+        tc = t - (m + 1) / 2.0
+        resid = segments - segments.mean(axis=1, keepdims=True)
+        resid -= ((resid @ tc) / (tc @ tc))[:, None] * tc
+        return np.sqrt(np.einsum("ij,ij->i", resid, resid) / (m - 1))
+    design = np.column_stack([np.ones(m), t])
+    stds = np.empty(k)
+    for tau in range(k):
+        fit = linear_regr_solver(design, segments[tau], flag)
+        stds[tau] = (segments[tau] - (fit.intercept + fit.slope * t)).std(ddof=1)
+    return stds
+
+
 def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     """Detrended fluctuation analysis; H is the slope itself.
 
@@ -182,18 +207,7 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     excluded = 0
     for m in factors:
         k = n_opt // m
-        segments = seq_partition(z, m, k)
-        design = np.column_stack([np.ones(m), np.arange(1.0, m + 1.0)])
-        if flag == 2:
-            coef, *_ = np.linalg.lstsq(design, segments.T, rcond=None)
-            resid = segments.T - design @ coef
-            stds = resid.std(axis=0, ddof=1)
-        else:
-            stds = np.empty(k)
-            for tau in range(k):
-                fit = linear_regr_solver(design, segments[tau], flag)
-                r_tau = segments[tau] - (fit.intercept + fit.slope * design[:, 1])
-                stds[tau] = r_tau.std(ddof=1)
+        stds = _detrended_stds(z.reshape(k, m), flag)
         keep = stds > 0.0
         excluded += int(k - keep.sum())
         if not keep.any():
@@ -251,7 +265,7 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
     excluded = 0
     for m in factors:
         k = n_opt // m
-        segments = seq_partition(arr, m, k)
+        segments = arr[:n_opt].reshape(k, m)
         bias = segments - segments.mean(axis=1, keepdims=True)
         profile = np.cumsum(bias, axis=1)
         ranges = profile.max(axis=1) - profile.min(axis=1)

@@ -70,6 +70,28 @@ def test_block_profile_matches_literal():
         assert profile[m - 1] == pytest.approx(block_sum_std(x, m), abs=1e-10)
 
 
+def running_total_profile(x, m_max):
+    """The profile as it ran before scales were grouped: one gather per m."""
+    totals = np.concatenate([[0.0], np.cumsum(x)])
+    out = np.empty(m_max)
+    for m in range(1, m_max + 1):
+        edges = totals[m * np.arange(x.size // m + 1)]
+        out[m - 1] = np.std(edges[1:] - edges[:-1], ddof=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1000, 10007, 30000])
+def test_block_profile_matches_per_scale_loops(n):
+    # m_max = N//10 makes many scales share one block count k = N//m
+    x = rand_series(n, n)
+    m_max = n // 10
+    profile = _block_sum_std_profile(x, m_max)
+    assert np.array_equal(profile, running_total_profile(x, m_max))
+    # block sums by reshape round differently from running-total differences
+    direct = np.array([block_sum_std(x, m) for m in range(1, m_max + 1)])
+    np.testing.assert_allclose(profile, direct, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # scaling-correction helpers
 

@@ -1,10 +1,13 @@
 """Tests for file I/O, the dispatcher, bench reports, and the CLI."""
 
 import json
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hurstkit
 from hurstkit.bench import relative_error, run_fgn_suite, run_random_suite
 from hurstkit.cli import main, parse_h_grid
 from hurstkit.errors import (
@@ -26,6 +29,13 @@ from hurstkit.results import METHODS
 
 def rand_series(seed, n):
     return np.random.Generator(np.random.PCG64(seed)).normal(0.0, 1.0, n)
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    assert hurstkit.__version__ == declared
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurstkit.errors import (
@@ -37,6 +37,21 @@ def brute_force_search(n, w, alpha):
         if c >= best_count and c > 0:
             best_count, best_a = c, a
     return best_a
+
+
+def trial_division_search(n, w, alpha):
+    """The search as it ran before the sieve: trial-divide each candidate.
+
+    Returns the winning length, or None when every candidate is factor-free.
+    """
+    lo = int(np.ceil(alpha * n))
+    best_len, best_count = lo, -1
+    for a in range(lo, n + 1):
+        cand = np.arange(w, a // w + 1)
+        c = int(np.count_nonzero(a % cand == 0))
+        if c >= best_count:  # >= : later (larger) candidates win ties
+            best_len, best_count = a, c
+    return best_len if best_count > 0 else None
 
 
 # ---------------------------------------------------------------- as_series
@@ -198,6 +213,27 @@ def test_search_matches_brute_force(n, w, alpha):
         n_opt, factors = search_opt_seq_len(n, w, alpha)
         assert n_opt == expected
         assert factors == bounded_factors(n_opt, w)
+
+
+lengths_and_windows = st.integers(min_value=4, max_value=20000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(2, math.isqrt(n)))
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(lengths_and_windows, st.sampled_from([0.95, 0.99, 1.0]))
+@example((19997, 2), 1.0)  # a prime alone in its window: no partition
+@example((20000, 141), 0.99)
+def test_search_matches_trial_division(n_w, alpha):
+    n, w = n_w
+    expected = trial_division_search(n, w, alpha)
+    if expected is None:
+        with pytest.raises(NoPartitionError):
+            search_opt_seq_len(n, w, alpha)
+    else:
+        n_opt, factors = search_opt_seq_len(n, w, alpha)
+        assert n_opt == expected
+        assert factors == gen_sbpf(n_opt, w)
 
 
 # ------------------------------------------------------------ seq_partition

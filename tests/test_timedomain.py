@@ -2,11 +2,13 @@
 
 Every numeric expectation is either computed by hand, taken from an
 independent re-implementation written in plain loops (no code shared with
-the package beyond numpy itself), or evaluated at higher precision with
-mpmath.
+the package beyond numpy itself), evaluated at higher precision with
+mpmath or exact rationals, or taken from the implementation a rewrite
+replaced, kept here as an oracle.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,7 +19,10 @@ from hurstkit.errors import (
     DegenerateSequenceError,
     InsufficientDataError,
 )
+from hurstkit.generators import FgnSpec, gen_fgn
+from hurstkit.partition import cumulative_bias, search_opt_seq_len
 from hurstkit.timedomain import (
+    _detrended_stds,
     _higuchi_lag,
     est_central,
     est_dfa,
@@ -183,6 +188,81 @@ def test_dfa_matches_independent_oracle():
             stats.append(np.mean([s for s in stds if s > 0]))
         want = oracle_slope(divs, stats)
         assert est_dfa(x, w=5).hurst == pytest.approx(want, abs=1e-9)
+
+
+def lstsq_detrended_stds(segments):
+    """Row residual stds as est_dfa computed them before the closed form."""
+    m = segments.shape[1]
+    design = np.column_stack([np.ones(m), np.arange(1.0, m + 1.0)])
+    coef, *_ = np.linalg.lstsq(design, segments.T, rcond=None)
+    return (segments.T - design @ coef).std(axis=0, ddof=1)
+
+
+def dfa_segments(x, w):
+    """Per scale, the (k, m) segments of the profile est_dfa detrends."""
+    v = x - x.mean()
+    n_opt, factors = search_opt_seq_len(v.size, w)
+    z = cumulative_bias(v[:n_opt])
+    return [z.reshape(n_opt // m, m) for m in factors]
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_dfa_detrending_matches_lstsq_oracle(hurst):
+    x = gen_fgn(FgnSpec(hurst, 30000, 3))
+    for segments in dfa_segments(x, 50):
+        got = _detrended_stds(segments, 2)
+        want = lstsq_detrended_stds(segments)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got.mean() == pytest.approx(want.mean(), rel=1e-12, abs=0)
+
+
+def test_dfa_detrending_accurate_on_near_linear_rows():
+    # a steep trend over unit noise: sum z^2 - b^2 sum t^2 would cancel
+    # about 8 digits here; the explicit residual keeps all but about 3
+    rng = np.random.Generator(np.random.PCG64(4))
+    m = 64
+    t = np.arange(1, m + 1)
+    rows = (rng.integers(-10**6, 10**6, (20, 1)) + 1000 * t
+            + rng.integers(-1, 2, (20, m)))
+    tc = [Fraction(2 * i - m - 1, 2) for i in t.tolist()]
+    want = []
+    for row in rows.tolist():  # exact rational least squares
+        dev = [y - Fraction(sum(row), m) for y in row]
+        slope = sum(c * d for c, d in zip(tc, dev)) / sum(c * c for c in tc)
+        ss = sum((d - slope * c) ** 2 for c, d in zip(tc, dev))
+        want.append(math.sqrt(ss / (m - 1)))
+    got = _detrended_stds(rows.astype(float), 2)
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+
+def test_dfa_exact_segments_excluded_as_with_lstsq():
+    # integers summing to zero, then zeros: the profile is exactly 0 over the
+    # second half, so every segment there detrends exactly
+    rng = np.random.Generator(np.random.PCG64(8))
+    x = np.zeros(1200)
+    x[:600] = rng.integers(-9, 10, 600)
+    x[0] -= x.sum()
+    want = 0
+    for segments in dfa_segments(x, 5):
+        stds = _detrended_stds(segments, 2)
+        assert np.array_equal(stds == 0.0, lstsq_detrended_stds(segments) == 0.0)
+        want += int(np.count_nonzero(stds == 0.0))
+    assert want > 0
+    assert est_dfa(x, w=5).diagnostics["excluded_segments"] == want
+
+
+def test_dfa_exact_scale_degenerate_as_with_lstsq():
+    # a zero prefix and a balanced tail outside the partition: every segment
+    # of every scale detrends exactly, yet the series is not constant
+    n = 602
+    n_opt, _ = search_opt_seq_len(n, 5)
+    assert n - n_opt >= 2
+    x = np.zeros(n)
+    x[n_opt], x[n_opt + 1] = 3.0, -3.0
+    segments = dfa_segments(x, 5)[0]
+    assert not np.any(lstsq_detrended_stds(segments))
+    with pytest.raises(DegenerateSequenceError, match="detrends exactly"):
+        est_dfa(x, w=5)
 
 
 def test_dfa_flag1_close_to_flag2_on_clean_data():

@@ -73,6 +73,11 @@ def _block_sum_std_profile(arr, m_max):
     return out
 
 
+def clip_hurst(hurst):
+    """Clip an estimate to [_CLAMP, 1 - _CLAMP], just inside (0, 1)."""
+    return min(max(hurst, _CLAMP), 1.0 - _CLAMP)
+
+
 def _u_ratio(m, n_total):
     u = np.asarray(n_total / np.asarray(m, dtype=float))
     if np.any(u <= 1.0):
@@ -97,7 +102,9 @@ def fun_dm(m, n_total, hurst):
     singularity error rather than returning a huge meaningless number.
     """
     u = _u_ratio(m, n_total)
-    denom = 1.0 - u ** (2.0 - 2.0 * hurst)
+    # far below H = 1 the power overflows to inf, and d takes its limit ln m
+    with np.errstate(over="ignore"):
+        denom = 1.0 - u ** (2.0 - 2.0 * hurst)
     if np.any(np.abs(denom) < _DM_SINGULARITY_TOL):
         raise SingularityError(
             f"1 - u^(2-2H) vanishes at H={hurst}; the scaling exponent is "
@@ -226,7 +233,7 @@ def est_lssd(x, p=DEFAULT_WEIGHT_P, q=DEFAULT_PENALTY_Q, eps=DEFAULT_EPSILON):
     raw = fixed_point_solve(ctm_lssd, 0.5, eps, params=(ctx,))
     residual = abs(ctm_lssd(raw, ctx) - raw)
 
-    hurst = min(max(raw, _CLAMP), 1.0 - _CLAMP)
+    hurst = clip_hurst(raw)
     extra = {"fixed_point_residual": residual}
     if hurst != raw:
         extra["raw_value"] = raw

@@ -18,7 +18,7 @@ import sys
 from .bench import run_fgn_suite, run_random_suite
 from .errors import ArgumentError, DataError
 from .generators import FgnSpec
-from .harness import estimate_file, write_fgn
+from .harness import DEFAULTS, estimate_file, write_fgn
 from .results import METHODS
 
 
@@ -61,9 +61,7 @@ def _add_estimator_flags(sub):
 
 
 def _config(args):
-    keys = ("window", "norm", "q_order", "cutoff", "weight_p", "penalty_q",
-            "epsilon", "corrected")
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    return {k: getattr(args, k) for k in DEFAULTS if getattr(args, k) is not None}
 
 
 def build_parser():

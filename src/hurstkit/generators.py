@@ -41,13 +41,6 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def gen_gauss(length, seed):
-    """Standard normal i.i.d. samples (PCG64 stream)."""
-    if length < 1:
-        raise ArgumentError(f"length must be >= 1, got {length}")
-    return _rng(seed).standard_normal(length)
-
-
 def gen_iid(name, length, seed):
     """I.i.d. samples from one of the benchmark families.
 
@@ -94,7 +87,9 @@ def gen_fgn(spec):
     i.e. with pointwise standard deviation length**(-hurst).
 
     Raises EmbeddingError if the circulant eigenvalues come out negative
-    beyond roundoff (cannot happen for this covariance, but the guard stays).
+    beyond roundoff.  That does happen at high H: the middle of the circulant
+    row holds 0.0 where the Davies-Harte embedding puts rho_n, and at
+    H = 0.92 this raises for every length from 1e3 to 3e4.
     """
     if not isinstance(spec, FgnSpec):
         spec = FgnSpec(*spec)

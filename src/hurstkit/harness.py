@@ -55,6 +55,30 @@ def _settings(overrides):
     return cfg
 
 
+# method -> (call, the option keys whose values it takes, in order).  The
+# calls look each estimator up by its name here when they run, so a wrapper
+# installed on that name (perfbench's tracer) sees every call.
+_BLOCK_KEYS = ("weight_p", "penalty_q", "epsilon")
+_DISPATCH = {
+    "am": (lambda x, w, norm: est_central(x, w, 1, norm), ("window", "norm")),
+    "av": (lambda x, w, norm: est_central(x, w, 2, norm), ("window", "norm")),
+    "ghe": (lambda x, q, norm: est_ghe(x, q, norm), ("q_order", "norm")),
+    "hm": (lambda x, norm: est_higuchi(x, norm), ("norm",)),
+    "dfa": (lambda x, w, norm: est_dfa(x, w, norm), ("window", "norm")),
+    "rs": (lambda x, w, norm, corrected: est_rs(x, w, norm, corrected),
+           ("window", "norm", "corrected")),
+    "tta": (lambda x, norm: est_tta(x, norm), ("norm",)),
+    "pm": (lambda x, cutoff, norm: est_pm(x, cutoff, norm), ("cutoff", "norm")),
+    "awc": (lambda x, norm: est_dwt(x, 1, norm), ("norm",)),
+    "vvl": (lambda x, norm: est_dwt(x, 2, norm), ("norm",)),
+    "lw": (lambda x: est_lw(x), ()),
+    "lssd": (lambda x, p, q, eps: est_lssd(
+        x, DEFAULT_WEIGHT_P if p is None else p, q, eps), _BLOCK_KEYS),
+    "lsv": (lambda x, p, q, eps: est_lsv(
+        x, DEFAULT_LSV_WEIGHT_P if p is None else p, q, eps), _BLOCK_KEYS),
+}
+
+
 def estimate_series(x, method, **overrides):
     """Run one named estimator with defaults filled in.
 
@@ -67,35 +91,9 @@ def estimate_series(x, method, **overrides):
             f"unknown method {method!r}; choose one of {', '.join(METHODS)}"
         )
     c = _settings(overrides)
+    call, keys = _DISPATCH[method]
     try:
-        if method == "am":
-            return est_central(x, c["window"], 1, c["norm"])
-        if method == "av":
-            return est_central(x, c["window"], 2, c["norm"])
-        if method == "ghe":
-            return est_ghe(x, c["q_order"], c["norm"])
-        if method == "hm":
-            return est_higuchi(x, c["norm"])
-        if method == "dfa":
-            return est_dfa(x, c["window"], c["norm"])
-        if method == "rs":
-            return est_rs(x, c["window"], c["norm"], c["corrected"])
-        if method == "tta":
-            return est_tta(x, c["norm"])
-        if method == "pm":
-            return est_pm(x, c["cutoff"], c["norm"])
-        if method == "awc":
-            return est_dwt(x, 1, c["norm"])
-        if method == "vvl":
-            return est_dwt(x, 2, c["norm"])
-        if method == "lw":
-            return est_lw(x)
-        p = c["weight_p"]
-        if method == "lssd":
-            p = DEFAULT_WEIGHT_P if p is None else p
-            return est_lssd(x, p, c["penalty_q"], c["epsilon"])
-        p = DEFAULT_LSV_WEIGHT_P if p is None else p
-        return est_lsv(x, p, c["penalty_q"], c["epsilon"])
+        return call(x, *(c[key] for key in keys))
     except HurstkitError as exc:
         exc.args = (f"{method}: {exc.args[0]}",) + exc.args[1:]
         raise

@@ -2,7 +2,7 @@
 
 The whole toolkit reduces estimation to one of three primitives:
 
-* fit ln(y) = alpha + beta * ln(x) in the l2 or l1 sense,
+* fit ln(y) = alpha + beta * ln(x) in the l2 or l1 sense (fit_power_law),
 * run a scalar fixed-point iteration, or
 * minimize a scalar function on an interval (Brent's method).
 """
@@ -35,13 +35,6 @@ class RegressionFit:
     intercept: float
     slope: float
     norm_flag: int
-
-
-def euclid_dist(u, v):
-    """Euclidean distance; accepts scalars or same-length vectors."""
-    du = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(du * du)))
 
 
 def format_power_law_data(x, y):
@@ -112,19 +105,42 @@ def linear_regr_solver(A, b, flag):
     return RegressionFit(float(best[0]), float(best[1]), 1)
 
 
+def fit_power_law(x, y, flag):
+    """Fit ln y = intercept + slope * ln x in the flag-selected norm.
+
+    Returns (fit, l2 norm of the log-residuals); the slope fitter every
+    log-log estimator uses.
+    """
+    A, b = format_power_law_data(x, y)
+    fit = linear_regr_solver(A, b, flag)
+    resid = b - (fit.intercept + fit.slope * A[:, 1])
+    return fit, float(np.sqrt(np.sum(resid * resid)))
+
+
+def _update(updater, guess, params, previous):
+    try:
+        return float(updater(guess, *params))
+    except OverflowError:
+        raise NonConvergenceError(
+            f"iteration overflowed evaluating the update at {guess!r}",
+            last=guess, previous=previous,
+        ) from None
+
+
 def fixed_point_solve(updater, x0, eps, params=()):
     """Iterate x <- updater(x, *params) until successive iterates are closer
     than `eps`; returns the last iterate.
 
-    A budget of 10^4 steps guards divergence; blowing it (or leaving the
-    reals) raises NonConvergenceError carrying the last two iterates.
+    A budget of 10^4 steps guards divergence; blowing it, leaving the reals
+    or overflowing inside the update raises NonConvergenceError carrying the
+    last two iterates.
     """
     if eps <= 0:
         raise ArgumentError(f"need eps > 0, got {eps}")
     guess = float(x0)
-    improved = float(updater(guess, *params))
+    improved = _update(updater, guess, params, None)
     steps = 1
-    while euclid_dist(improved, guess) >= eps:
+    while abs(improved - guess) >= eps:
         if not math.isfinite(improved):
             raise NonConvergenceError(
                 f"iteration left the reals after {steps} steps",
@@ -136,8 +152,8 @@ def fixed_point_solve(updater, x0, eps, params=()):
                 f"{guess!r} -> {improved!r}",
                 last=improved, previous=guess,
             )
-        guess = improved
-        improved = float(updater(guess, *params))
+        previous, guess = guess, improved
+        improved = _update(updater, guess, params, previous)
         steps += 1
     return improved
 

@@ -14,7 +14,6 @@ count.  The marks number about (1-alpha)*N*ln(N/w^2) + N/w, so the search
 costs O(N) array work and no Python loop over candidates.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -39,29 +38,16 @@ def as_series(x):
     return arr
 
 
-@dataclass(frozen=True)
-class PartitionScheme:
-    """A concrete plan: first `n_opt` samples split into `k` windows of `m`."""
+def demeaned(x):
+    """Validate with as_series, then subtract the mean.
 
-    n_opt: int
-    m: int
-    k: int
-    w: int
-
-    def __post_init__(self):
-        if self.m * self.k != self.n_opt:
-            raise ArgumentError(
-                f"window {self.m} x count {self.k} != length {self.n_opt}"
-            )
-        if not (self.w <= self.m <= self.n_opt // self.w):
-            raise ArgumentError(
-                f"window {self.m} outside [{self.w}, {self.n_opt // self.w}]"
-            )
-
-
-def cumsum(x):
-    """Running sums s_i = x_1 + ... + x_i."""
-    return np.cumsum(as_series(x))
+    The prepare step of every estimator that works on the demeaned series.
+    Their statistics are mean-free by construction, so this changes nothing
+    mathematically, but it makes shift invariance hold exactly in floating
+    point whenever the shifted inputs demean to identical arrays.
+    """
+    arr = as_series(x)
+    return arr - arr.mean()
 
 
 def cumulative_bias(x):
@@ -71,7 +57,7 @@ def cumulative_bias(x):
     to a couple of ulps regardless of length (the two terms share the final
     rounding of the total sum).
     """
-    c = cumsum(x)
+    c = np.cumsum(as_series(x))
     n = c.size
     mean = c[-1] / n
     return c - mean * np.arange(1, n + 1)

@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass, field
 
+from .errors import DataError
+
 METHODS = (
     "am", "av", "ghe", "hm", "dfa", "rs", "tta",
     "pm", "awc", "vvl", "lw", "lssd", "lsv",
@@ -17,8 +19,9 @@ class EstimateResult:
     always carries: residual_norm (of the final fit, or None when the method
     has no regression step), n_points (regression points / solver scales),
     excluded_segments, discarded_samples, and out_of_range -- a warning flag,
-    not an error, set when the estimate leaves (0, 1).  Individual methods
-    may add keys (e.g. the fixed-point residual).
+    not an error, set when the estimate leaves (0, 1).  A non-finite estimate
+    is a DataError instead.  Individual methods may add keys (e.g. the
+    fixed-point residual).
     """
 
     method: str
@@ -40,12 +43,14 @@ def build_result(method, hurst, config, *, residual_norm, n_points,
     """Assemble an EstimateResult with the standard diagnostics block."""
     assert method in METHODS, method
     hurst = float(hurst)
+    if not math.isfinite(hurst):
+        raise DataError(f"the estimate is not finite ({hurst!r})")
     diagnostics = {
         "residual_norm": residual_norm,
         "n_points": n_points,
         "excluded_segments": excluded_segments,
         "discarded_samples": discarded_samples,
-        "out_of_range": not (0.0 < hurst < 1.0) or not math.isfinite(hurst),
+        "out_of_range": not 0.0 < hurst < 1.0,
     }
     diagnostics.update(extra)
     return EstimateResult(method, hurst, dict(config), diagnostics)

@@ -12,8 +12,9 @@ from .errors import (
     InsufficientDataError,
     InsufficientLevelsError,
 )
-from .numerics import format_power_law_data, linear_regr_solver, loc_min_solve
-from .partition import as_series
+# as_series and linear_regr_solver are not called here; perfbench traces both
+from .numerics import fit_power_law, linear_regr_solver, loc_min_solve  # noqa: F401
+from .partition import as_series, demeaned  # noqa: F401
 from .results import build_result
 from .transforms import DB24_LOWPASS, HAAR_LOWPASS, dft, wavedec
 
@@ -21,18 +22,6 @@ DEFAULT_CUTOFF = 0.1
 MIN_LEVEL_COEFFS = 16
 _LW_BRACKET = (0.001, 0.999)
 _LW_TOL = 1e-8
-
-
-def _prepared(x):
-    arr = as_series(x)
-    return arr - arr.mean()
-
-
-def _fit_slope(scales, stats, flag):
-    A, b = format_power_law_data(scales, stats)
-    fit = linear_regr_solver(A, b, flag)
-    resid = b - (fit.intercept + fit.slope * A[:, 1])
-    return fit, float(np.sqrt(np.sum(resid * resid)))
 
 
 def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
@@ -43,7 +32,7 @@ def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
     """
     if not 0.0 < f_cutoff <= 0.5:
         raise ArgumentError(f"cutoff must lie in (0, 0.5], got {f_cutoff}")
-    arr = _prepared(x)
+    arr = demeaned(x)
     n = arr.size
     if n < 100:
         raise InsufficientDataError(f"need at least 100 samples, got {n}")
@@ -62,7 +51,7 @@ def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
     bins = spectrum[k - 1]
     power = (bins.real**2 + bins.imag**2) / n
 
-    fit, resid = _fit_slope(scales, power, flag)
+    fit, resid = fit_power_law(scales, power, flag)
     return build_result(
         "pm",
         0.5 - fit.slope,
@@ -85,7 +74,7 @@ def est_dwt(x, r=1, flag=2):
     """
     if r not in (1, 2):
         raise ArgumentError(f"order r must be 1 or 2, got {r!r}")
-    arr = _prepared(x)
+    arr = demeaned(x)
     if arr.size < 64:
         raise InsufficientDataError(f"need at least 64 samples, got {arr.size}")
 
@@ -108,7 +97,7 @@ def est_dwt(x, r=1, flag=2):
             f"only {len(scales)} of {dec.levels} levels usable"
         )
 
-    fit, resid = _fit_slope(scales, stats, flag)
+    fit, resid = fit_power_law(scales, stats, flag)
     return build_result(
         "awc" if r == 1 else "vvl",
         0.5 + fit.slope / r,
@@ -159,7 +148,7 @@ def est_lw(x):
     Uses all floor(N/2) positive frequencies j/N with powers |X^(j)|^2; the
     known downward bias at small H is inherent to this full-band variant.
     """
-    arr = _prepared(x)
+    arr = demeaned(x)
     n = arr.size
     if n < 100:
         raise InsufficientDataError(f"need at least 100 samples, got {n}")

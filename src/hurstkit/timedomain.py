@@ -17,26 +17,27 @@ tta    total triangle area           H = slope
 c_k(H) corrects am and av for measuring segment means against the grand mean
 of the k segments (see est_central).
 
-Every estimator subtracts the global mean up front.  The statistics are all
-mean-free by construction, so this changes nothing mathematically, but it
-makes shift invariance hold *exactly* in floating point whenever the shifted
-inputs demean to identical arrays.
+Every estimator starts from partition.demeaned, so shift invariance holds
+exactly in floating point whenever the shifted inputs demean to identical
+arrays.
 """
 
 import math
 
 import numpy as np
 
-from .aggregation import _CLAMP, fun_cm_lsv
+from .aggregation import clip_hurst, fun_cm_lsv
 from .errors import (
     ArgumentError,
     DegenerateSequenceError,
     InsufficientDataError,
 )
-from .numerics import fixed_point_solve, format_power_law_data, linear_regr_solver
-from .partition import (  # noqa: F401  seq_partition: perfbench traces this name
+from .numerics import fit_power_law, fixed_point_solve, linear_regr_solver
+# as_series and seq_partition are not called here; perfbench traces both names
+from .partition import (  # noqa: F401
     as_series,
     cumulative_bias,
+    demeaned,
     search_opt_seq_len,
     seq_partition,
 )
@@ -47,19 +48,6 @@ DEFAULT_WINDOW = 50
 # am/av grand-mean correction: stop once successive H move by less than
 # this, far below the 1e-9 scale-invariance the estimates are held to
 _CENTRAL_EPS = 1e-12
-
-
-def _prepared(x):
-    arr = as_series(x)
-    return arr - arr.mean()
-
-
-def _fit_slope(scales, stats, flag):
-    """Log-log fit; returns (fit, l2 norm of the log-residuals)."""
-    A, b = format_power_law_data(scales, stats)
-    fit = linear_regr_solver(A, b, flag)
-    resid = b - (fit.intercept + fit.slope * A[:, 1])
-    return fit, float(np.sqrt(np.sum(resid * resid)))
 
 
 def _grand_mean_factor(scales, n_opt, hurst, r):
@@ -94,7 +82,7 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
     """
     if r not in (1, 2):
         raise ArgumentError(f"order r must be 1 or 2, got {r!r}")
-    arr = _prepared(x)
+    arr = demeaned(x)
     n_total = arr.size
     n_opt, factors = search_opt_seq_len(n_total, w)
 
@@ -104,7 +92,7 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
         k = n_opt // m
         means = arr[:n_opt].reshape(k, m).mean(axis=1)
         if r == 1:
-            nu = float(np.abs(means).mean())  # grand mean is zero by _prepared
+            nu = float(np.abs(means).mean())  # grand mean is zero by demeaned
         else:
             nu = float(np.var(means, ddof=1))
         if nu > 0.0:
@@ -121,21 +109,20 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
     scales = np.array(scales, dtype=float)
     stats = np.array(stats)
 
-    def clipped(hurst):
-        return min(max(hurst, _CLAMP), 1.0 - _CLAMP)
-
     def corrected_fit(hurst):
         c = _grand_mean_factor(scales, n_opt, hurst, r)
-        return _fit_slope(scales, stats / c ** (r / 2.0), flag)
+        return fit_power_law(scales, stats / c ** (r / 2.0), flag)
 
     def corrected_hurst(hurst):
-        return clipped(1.0 + corrected_fit(hurst)[0].slope / r)
+        return clip_hurst(1.0 + corrected_fit(hurst)[0].slope / r)
 
-    fit, resid = _fit_slope(scales, stats, flag)
+    fit, resid = fit_power_law(scales, stats, flag)
     uncorrected = 1.0 + fit.slope / r
     hurst = uncorrected
     if 0.0 < uncorrected < 1.0:
-        hurst = fixed_point_solve(corrected_hurst, clipped(uncorrected), _CENTRAL_EPS)
+        hurst = fixed_point_solve(
+            corrected_hurst, clip_hurst(uncorrected), _CENTRAL_EPS
+        )
         _, resid = corrected_fit(hurst)
     return build_result(
         "am" if r == 1 else "av",
@@ -157,7 +144,7 @@ def est_ghe(x, q=1.0, flag=2):
     """
     if not q > 0:
         raise ArgumentError(f"moment order q must be positive, got {q}")
-    arr = _prepared(x)
+    arr = demeaned(x)
     if arr.size <= 20:
         raise InsufficientDataError(f"need more than 20 samples, got {arr.size}")
     y = cumulative_bias(arr)
@@ -170,7 +157,7 @@ def est_ghe(x, q=1.0, flag=2):
         t = int(lags[np.argmin(stats)])
         raise DegenerateSequenceError(f"profile repeats with period {t}")
 
-    fit, resid = _fit_slope(lags, stats, flag)
+    fit, resid = fit_power_law(lags, stats, flag)
     return build_result(
         "ghe",
         fit.slope / q,
@@ -187,7 +174,7 @@ def _higuchi_lag(idx):
 
 def est_higuchi(x, flag=2):
     """Higuchi curve-length method: H = 2 + slope of ln L(m) vs ln m."""
-    arr = _prepared(x)
+    arr = demeaned(x)
     n = arr.size
     if n <= 64:
         raise InsufficientDataError(f"need more than 64 samples, got {n}")
@@ -204,7 +191,7 @@ def est_higuchi(x, flag=2):
     if np.any(stats == 0.0):
         raise DegenerateSequenceError("flat profile: zero curve length")
 
-    fit, resid = _fit_slope(lags, stats, flag)
+    fit, resid = fit_power_law(lags, stats, flag)
     return build_result(
         "hm",
         2.0 + fit.slope,
@@ -248,7 +235,7 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     a scale losing all its segments is a degenerate series.  Note m=2
     always detrends exactly, so DFA needs w >= 3 in practice.
     """
-    arr = _prepared(x)
+    arr = demeaned(x)
     n_total = arr.size
     n_opt, factors = search_opt_seq_len(n_total, w)
     z = cumulative_bias(arr[:n_opt])
@@ -267,7 +254,7 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
         scales.append(m)
         stats.append(float(stds[keep].mean()))
 
-    fit, resid = _fit_slope(scales, stats, flag)
+    fit, resid = fit_power_law(scales, stats, flag)
     return build_result(
         "dfa",
         fit.slope,
@@ -307,7 +294,7 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
     std.  `corrected` replaces <R/S>(m) by <R/S>(m) - E[R/S](m) + sqrt(pi*m/2)
     before the fit (off by default; it under-estimates for H > 0.5).
     """
-    arr = _prepared(x)
+    arr = demeaned(x)
     n_total = arr.size
     n_opt, factors = search_opt_seq_len(n_total, w)
 
@@ -330,7 +317,7 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
         scales.append(m)
         stats.append(ratio)
 
-    fit, resid = _fit_slope(scales, stats, flag)
+    fit, resid = fit_power_law(scales, stats, flag)
     return build_result(
         "rs",
         fit.slope,
@@ -351,7 +338,7 @@ def est_tta(x, flag=2):
     difference there is still sensitive to the marginal shape of the input
     (heavy tails inflate it), which tilts the whole fit upward.
     """
-    arr = _prepared(x)
+    arr = demeaned(x)
     n = arr.size
     if n < 41:
         raise InsufficientDataError(f"need at least 41 samples, got {n}")
@@ -368,7 +355,7 @@ def est_tta(x, flag=2):
         t = int(lags[np.argmin(stats)])
         raise DegenerateSequenceError(f"profile is collinear at lag {t}")
 
-    fit, resid = _fit_slope(lags, stats, flag)
+    fit, resid = fit_power_law(lags, stats, flag)
     return build_result(
         "tta",
         fit.slope,

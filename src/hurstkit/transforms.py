@@ -72,20 +72,6 @@ def dft(x):
     return np.fft.fft(np.asarray(x))
 
 
-def idft(x):
-    """Inverse DFT, the exact inverse of :func:`dft`."""
-    return np.fft.ifft(np.asarray(x))
-
-
-def periodogram(x):
-    """Raw periodogram |X_k|^2 / N at the N Fourier frequencies."""
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    if xa.size == 0:
-        raise ArgumentError("empty input")
-    spec = np.fft.fft(xa)
-    return (spec.real**2 + spec.imag**2) / xa.size
-
-
 def qmf_highpass(lowpass):
     """Quadrature-mirror highpass g[k] = (-1)^k h[L-1-k] for a lowpass h."""
     h = np.asarray(lowpass, dtype=float).reshape(-1)

@@ -13,7 +13,6 @@ from hurstkit.generators import (
     FgnSpec,
     fgn_autocorr,
     gen_fgn,
-    gen_gauss,
     gen_iid,
 )
 
@@ -21,10 +20,10 @@ from hurstkit.generators import (
 # ------------------------------------------------------------------ iid noise
 
 
-def test_gen_gauss_deterministic_per_seed():
-    a = gen_gauss(100, 42)
-    b = gen_gauss(100, 42)
-    c = gen_gauss(100, 43)
+def test_gen_iid_normal_deterministic_per_seed():
+    a = gen_iid("normal", 100, 42)
+    b = gen_iid("normal", 100, 42)
+    c = gen_iid("normal", 100, 43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.dtype == np.float64
@@ -53,8 +52,6 @@ def test_gen_iid_unknown_family():
 
 
 def test_generator_length_validation():
-    with pytest.raises(ArgumentError):
-        gen_gauss(0, 1)
     with pytest.raises(ArgumentError):
         gen_iid("normal", 0, 1)
 

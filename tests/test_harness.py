@@ -12,8 +12,10 @@ from hurstkit.bench import relative_error, run_fgn_suite, run_random_suite
 from hurstkit.cli import main, parse_h_grid
 from hurstkit.errors import (
     ArgumentError,
+    DataError,
     DegenerateSequenceError,
     InsufficientDataError,
+    NonConvergenceError,
     SeriesParseError,
 )
 from hurstkit.generators import FgnSpec
@@ -108,6 +110,29 @@ def test_estimate_series_prefixes_method_on_errors():
     with pytest.raises(DegenerateSequenceError) as err:
         estimate_series(np.full(500, 1.0), "ghe")
     assert str(err.value).startswith("ghe:")
+
+
+def test_non_finite_estimate_is_data_error():
+    step = np.r_[np.zeros(5000), np.ones(5000)]
+    with pytest.raises(DataError, match="^lssd: the estimate is not finite"):
+        estimate_series(step, "lssd")
+    # a finite estimate outside (0, 1) is only flagged
+    res = estimate_series(step, "dfa")
+    assert res.hurst > 1.0 and res.diagnostics["out_of_range"] is True
+
+
+def test_lssd_overflow_is_nonconvergence(tmp_path, capsys):
+    # the LSSD iteration runs off to H ~ -2.3e8, where H^penalty_q overflows
+    x = (np.arange(10000) % 7).astype(float)
+    with pytest.raises(NonConvergenceError) as err:
+        estimate_series(x, "lssd")
+    assert str(err.value).startswith("lssd: iteration overflowed")
+    assert err.value.last < -1e8 and np.isfinite(err.value.previous)
+
+    path = tmp_path / "mod7.txt"
+    path.write_text("".join(f"{v}\n" for v in x))
+    assert main(["estimate", "--input", str(path), "--method", "lssd"]) == 2
+    assert "lssd: iteration overflowed" in capsys.readouterr().err
 
 
 def test_estimate_file_fgn_round_trip(tmp_path):

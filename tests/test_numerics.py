@@ -20,7 +20,6 @@ from hurstkit.errors import (
     UnderdeterminedSystemError,
 )
 from hurstkit.numerics import (
-    euclid_dist,
     fixed_point_solve,
     format_power_law_data,
     linear_regr_solver,
@@ -42,14 +41,6 @@ def exact_lad(A, b):
                   bounds=[(None, None)] * 2 + [(0, None)] * n, method="highs")
     assert res.success
     return res.fun
-
-
-# ---------------------------------------------------------------- distances
-
-
-def test_euclid_dist_scalars_and_vectors():
-    assert euclid_dist(1.0, 4.0) == 3.0
-    assert euclid_dist([0.0, 0.0], [3.0, 4.0]) == 5.0
 
 
 # ------------------------------------------------------ power-law formatting
@@ -159,6 +150,14 @@ def test_fixed_point_divergence_reports_iterates():
         fixed_point_solve(lambda t: 2.0 * t + 1.0, 1.0, 1e-8)
     assert exc.value.last is not None
     assert exc.value.previous is not None
+
+
+def test_fixed_point_overflow_in_update_reports_iterates():
+    # 2 -> 400 -> ... -> 3.4e292, whose update overflows the float range
+    with pytest.raises(NonConvergenceError) as exc:
+        fixed_point_solve(lambda t: (10.0 * t) ** 2.0, 2.0, 1e-8)
+    assert math.isfinite(exc.value.last)
+    assert exc.value.last == (10.0 * exc.value.previous) ** 2.0
 
 
 def test_fixed_point_budget_exhaustion():

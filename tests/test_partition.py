@@ -13,9 +13,7 @@ from hurstkit.errors import (
     NoPartitionError,
 )
 from hurstkit.partition import (
-    PartitionScheme,
     as_series,
-    cumsum,
     cumulative_bias,
     gen_sbpf,
     sample_std,
@@ -75,11 +73,7 @@ def test_as_series_names_nonfinite_index():
         as_series([1.0, 2.0, np.nan, 4.0])
 
 
-# ------------------------------------------------------- cumsum + debiasing
-
-
-def test_cumsum_matches_running_total():
-    assert cumsum([1.0, 2.0, 3.0]).tolist() == [1.0, 3.0, 6.0]
+# --------------------------------------------------------------- debiasing
 
 
 def test_cumulative_bias_small_case():
@@ -250,12 +244,3 @@ def test_seq_partition_rejects_overrun():
     with pytest.raises(ArgumentError):
         seq_partition(np.arange(10.0), 4, 3)
 
-
-def test_partition_scheme_consistency_checks():
-    PartitionScheme(n_opt=48, m=6, k=8, w=4)
-    with pytest.raises(ArgumentError):
-        PartitionScheme(n_opt=48, m=7, k=8, w=4)
-    with pytest.raises(ArgumentError):
-        PartitionScheme(n_opt=48, m=16, k=3, w=4)  # m above n_opt // w
-    with pytest.raises(ArgumentError):
-        PartitionScheme(n_opt=48, m=3, k=16, w=4)  # m below window

@@ -1,0 +1,49 @@
+"""The names perfbench's tracer wraps must exist and must see every call.
+
+perfbench/tracing.py patches module-level names from outside the package
+(``hurstkit.harness.est_central`` and so on).  A name that disappears breaks
+the traced run; a dispatcher that captures function objects at import time
+still runs, but its per-estimator spans silently read 0.  The tracer module
+is loaded from its source without importing the perfbench package.
+"""
+
+import collections
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+from hurstkit import harness
+from hurstkit.generators import FgnSpec, gen_fgn
+from hurstkit.results import METHODS
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_trace_target_resolves(tracing):
+    for module_name, attr, _ in tracing.TARGETS:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target), f"{module_name}.{attr}"
+
+
+def test_tracer_records_every_estimator_span(tracing):
+    x = gen_fgn(FgnSpec(0.7, 3000, 1))
+    with tracing.Tracer() as tracer:
+        for method in METHODS:
+            harness.estimate_series(x, method)
+
+    bodies = [(name, parent) for name, _, _, parent, _ in tracer.spans
+              if name in tracing.BODIES]
+    assert collections.Counter(name for name, _ in bodies) == (
+        collections.Counter(tracing.BODIES))
+    for name, parent in bodies:
+        assert tracer.spans[parent][0].startswith("harness.estimate_series."), name

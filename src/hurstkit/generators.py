@@ -70,13 +70,13 @@ def gen_iid(name, length, seed):
 
 
 def fgn_autocorr(lag, hurst):
-    """Autocorrelation of unit-step FGN at integer lag.
+    """Autocorrelation of unit-step FGN at an integer lag or array of lags.
 
     rho(tau) = ((tau+1)^{2H} - 2 tau^{2H} + |tau-1|^{2H}) / 2.
     """
-    t = abs(float(lag))
+    t = np.abs(np.asarray(lag, dtype=float))
     h2 = 2.0 * hurst
-    return 0.5 * ((t + 1.0) ** h2 - 2.0 * t**h2 + abs(t - 1.0) ** h2)
+    return 0.5 * ((t + 1.0) ** h2 - 2.0 * t**h2 + np.abs(t - 1.0) ** h2)
 
 
 def gen_fgn(spec):
@@ -95,12 +95,7 @@ def gen_fgn(spec):
         spec = FgnSpec(*spec)
     ell, hurst = spec.length, spec.hurst
 
-    lags = np.arange(ell, dtype=float)
-    rho = 0.5 * (
-        (lags + 1.0) ** (2 * hurst)
-        - 2.0 * lags ** (2 * hurst)
-        + np.abs(lags - 1.0) ** (2 * hurst)
-    )
+    rho = fgn_autocorr(np.arange(ell, dtype=float), hurst)
     row = np.concatenate([rho, [0.0], rho[:0:-1]])  # even circulant row
     eig = np.fft.fft(row).real
     floor = -_EIG_TOL * eig.max()

@@ -142,15 +142,3 @@ def write_fgn(path, spec):
                  f"seed={spec.seed}\n")
         for value in series:
             fh.write(f"{value:.17g}\n")
-
-
-def read_fgn_header(path):
-    """Recover the FgnSpec recorded by write_fgn, or None if absent."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if not first.startswith("# fgn "):
-        return None
-    fields = dict(part.split("=", 1) for part in first[6:].split())
-    return FgnSpec(
-        float(fields["hurst"]), int(fields["length"]), int(fields["seed"])
-    )

@@ -131,21 +131,23 @@ def fixed_point_solve(updater, x0, eps, params=()):
     """Iterate x <- updater(x, *params) until successive iterates are closer
     than `eps`; returns the last iterate.
 
-    A budget of 10^4 steps guards divergence; blowing it, leaving the reals
-    or overflowing inside the update raises NonConvergenceError carrying the
-    last two iterates.
+    A budget of 10^4 steps guards divergence; blowing it, an iterate that
+    is NaN or inf, or an overflow inside the update raises
+    NonConvergenceError carrying the last two iterates.
     """
     if eps <= 0:
         raise ArgumentError(f"need eps > 0, got {eps}")
     guess = float(x0)
     improved = _update(updater, guess, params, None)
     steps = 1
-    while abs(improved - guess) >= eps:
+    while True:
         if not math.isfinite(improved):
             raise NonConvergenceError(
                 f"iteration left the reals after {steps} steps",
                 last=improved, previous=guess,
             )
+        if abs(improved - guess) < eps:
+            return improved
         if steps >= _FIXED_POINT_BUDGET:
             raise NonConvergenceError(
                 f"no fixed point after {steps} steps; last two iterates "
@@ -155,7 +157,6 @@ def fixed_point_solve(updater, x0, eps, params=()):
         previous, guess = guess, improved
         improved = _update(updater, guess, params, previous)
         steps += 1
-    return improved
 
 
 def loc_min_solve(f, lo, hi, tol, params=()):

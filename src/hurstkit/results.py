@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
+from .numerics import fit_power_law
 
 METHODS = (
     "am", "av", "ghe", "hm", "dfa", "rs", "tta",
@@ -54,3 +55,23 @@ def build_result(method, hurst, config, *, residual_norm, n_points,
     }
     diagnostics.update(extra)
     return EstimateResult(method, hurst, dict(config), diagnostics)
+
+
+def fit_result(method, scales, stats, flag, config, *, offset=0.0, divisor=1.0,
+               **diagnostics):
+    """Fit ln stats on ln scales in the flag-selected norm and build the
+    result with H = offset + slope / divisor.
+
+    The shared tail of the log-log estimators; the fit's residual norm and
+    point count fill the standard diagnostics, and `diagnostics` passes on
+    to build_result.
+    """
+    fit, resid = fit_power_law(scales, stats, flag)
+    return build_result(
+        method,
+        offset + fit.slope / divisor,
+        config,
+        residual_norm=resid,
+        n_points=len(scales),
+        **diagnostics,
+    )

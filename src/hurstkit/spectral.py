@@ -1,6 +1,5 @@
 """Spectrum-domain Hurst estimators: periodogram, wavelet, local Whittle."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,9 +12,9 @@ from .errors import (
     InsufficientLevelsError,
 )
 # as_series and linear_regr_solver are not called here; perfbench traces both
-from .numerics import fit_power_law, linear_regr_solver, loc_min_solve  # noqa: F401
+from .numerics import linear_regr_solver, loc_min_solve  # noqa: F401
 from .partition import as_series, demeaned  # noqa: F401
-from .results import build_result
+from .results import build_result, fit_result
 from .transforms import DB24_LOWPASS, HAAR_LOWPASS, dft, wavedec
 
 DEFAULT_CUTOFF = 0.1
@@ -51,14 +50,9 @@ def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
     bins = spectrum[k - 1]
     power = (bins.real**2 + bins.imag**2) / n
 
-    fit, resid = fit_power_law(scales, power, flag)
-    return build_result(
-        "pm",
-        0.5 - fit.slope,
-        {"cutoff": f_cutoff, "norm": flag},
-        residual_norm=resid,
-        n_points=int(k.size),
-    )
+    return fit_result("pm", scales, power, flag,
+                      {"cutoff": f_cutoff, "norm": flag},
+                      offset=0.5, divisor=-1.0)
 
 
 def est_dwt(x, r=1, flag=2):
@@ -97,15 +91,9 @@ def est_dwt(x, r=1, flag=2):
             f"only {len(scales)} of {dec.levels} levels usable"
         )
 
-    fit, resid = fit_power_law(scales, stats, flag)
-    return build_result(
-        "awc" if r == 1 else "vvl",
-        0.5 + fit.slope / r,
-        {"r": r, "norm": flag},
-        residual_norm=resid,
-        n_points=len(scales),
-        excluded_segments=excluded,
-    )
+    return fit_result("awc" if r == 1 else "vvl", scales, stats, flag,
+                      {"r": r, "norm": flag}, offset=0.5, divisor=r,
+                      excluded_segments=excluded)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ of the k segments (see est_central).
 
 Every estimator starts from partition.demeaned, so shift invariance holds
 exactly in floating point whenever the shifted inputs demean to identical
-arrays.
+arrays.  am, av, dfa and rs then share one partition step (_partitioned),
+dfa and rs one rule for dropping zero-spread segments (_live_segments), and
+all but am and av end in results.fit_result.
 """
 
 import math
@@ -31,6 +33,7 @@ from .errors import (
     ArgumentError,
     DegenerateSequenceError,
     InsufficientDataError,
+    NoPartitionError,
 )
 from .numerics import fit_power_law, fixed_point_solve, linear_regr_solver
 # as_series and seq_partition are not called here; perfbench traces both names
@@ -41,13 +44,42 @@ from .partition import (  # noqa: F401
     search_opt_seq_len,
     seq_partition,
 )
-from .results import build_result
+from .results import build_result, fit_result
 
 DEFAULT_WINDOW = 50
 
 # am/av grand-mean correction: stop once successive H move by less than
 # this, far below the 1e-9 scale-invariance the estimates are held to
 _CENTRAL_EPS = 1e-12
+
+
+def _partitioned(x, w):
+    """The partition step of am, av, dfa and rs.
+
+    Returns the demeaned series, the optimal prefix length n_opt and its
+    window sizes.  A log-log fit needs two of them, so fewer is a
+    NoPartitionError naming the prefix and the window bound.
+    """
+    arr = demeaned(x)
+    n_opt, factors = search_opt_seq_len(arr.size, w)
+    if len(factors) < 2:
+        raise NoPartitionError(
+            f"partition of the {n_opt}-sample prefix at w={w} leaves "
+            f"{len(factors)} window size; need at least 2"
+        )
+    return arr, n_opt, factors
+
+
+def _live_segments(spread, m, cause):
+    """Keep the segments of size m whose spread is above 0.
+
+    Returns the keep mask and the number of segments dropped; a scale that
+    loses every segment is a degenerate series, which `cause` describes.
+    """
+    keep = spread > 0.0
+    if not keep.any():
+        raise DegenerateSequenceError(f"every segment of size {m} {cause}")
+    return keep, int(keep.size - keep.sum())
 
 
 def _grand_mean_factor(scales, n_opt, hurst, r):
@@ -82,9 +114,7 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
     """
     if r not in (1, 2):
         raise ArgumentError(f"order r must be 1 or 2, got {r!r}")
-    arr = demeaned(x)
-    n_total = arr.size
-    n_opt, factors = search_opt_seq_len(n_total, w)
+    arr, n_opt, factors = _partitioned(x, w)
 
     scales, stats = [], []
     excluded = 0
@@ -131,7 +161,7 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
         residual_norm=resid,
         n_points=len(scales),
         excluded_segments=excluded,
-        discarded_samples=n_total - n_opt,
+        discarded_samples=arr.size - n_opt,
         uncorrected_hurst=uncorrected,
     )
 
@@ -157,14 +187,8 @@ def est_ghe(x, q=1.0, flag=2):
         t = int(lags[np.argmin(stats)])
         raise DegenerateSequenceError(f"profile repeats with period {t}")
 
-    fit, resid = fit_power_law(lags, stats, flag)
-    return build_result(
-        "ghe",
-        fit.slope / q,
-        {"q_order": q, "norm": flag},
-        residual_norm=resid,
-        n_points=lags.size,
-    )
+    return fit_result("ghe", lags, stats, flag, {"q_order": q, "norm": flag},
+                      divisor=q)
 
 
 def _higuchi_lag(idx):
@@ -191,14 +215,7 @@ def est_higuchi(x, flag=2):
     if np.any(stats == 0.0):
         raise DegenerateSequenceError("flat profile: zero curve length")
 
-    fit, resid = fit_power_law(lags, stats, flag)
-    return build_result(
-        "hm",
-        2.0 + fit.slope,
-        {"norm": flag},
-        residual_norm=resid,
-        n_points=lags.size,
-    )
+    return fit_result("hm", lags, stats, flag, {"norm": flag}, offset=2.0)
 
 
 def _detrended_stds(segments, flag):
@@ -209,7 +226,7 @@ def _detrended_stds(segments, flag):
     tc.  The residual is formed explicitly rather than as sum z^2 - b^2 sum
     tc^2: that difference cancels on near-linear rows and can even come out
     negative, while the explicit residual of a row that detrends exactly is
-    exactly 0, which the stds > 0 exclusion in est_dfa relies on.
+    exactly 0, which the zero-spread exclusion in est_dfa relies on.
     """
     k, m = segments.shape
     t = np.arange(1.0, m + 1.0)
@@ -235,34 +252,20 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     a scale losing all its segments is a degenerate series.  Note m=2
     always detrends exactly, so DFA needs w >= 3 in practice.
     """
-    arr = demeaned(x)
-    n_total = arr.size
-    n_opt, factors = search_opt_seq_len(n_total, w)
+    arr, n_opt, factors = _partitioned(x, w)
     z = cumulative_bias(arr[:n_opt])
 
-    scales, stats = [], []
+    stats = []
     excluded = 0
     for m in factors:
-        k = n_opt // m
-        stds = _detrended_stds(z.reshape(k, m), flag)
-        keep = stds > 0.0
-        excluded += int(k - keep.sum())
-        if not keep.any():
-            raise DegenerateSequenceError(
-                f"every segment of size {m} detrends exactly"
-            )
-        scales.append(m)
+        stds = _detrended_stds(z.reshape(n_opt // m, m), flag)
+        keep, dropped = _live_segments(stds, m, "detrends exactly")
+        excluded += dropped
         stats.append(float(stds[keep].mean()))
 
-    fit, resid = fit_power_law(scales, stats, flag)
-    return build_result(
-        "dfa",
-        fit.slope,
-        {"window": w, "norm": flag},
-        residual_norm=resid,
-        n_points=len(scales),
-        excluded_segments=excluded,
-        discarded_samples=n_total - n_opt,
+    return fit_result(
+        "dfa", factors, stats, flag, {"window": w, "norm": flag},
+        excluded_segments=excluded, discarded_samples=arr.size - n_opt,
     )
 
 
@@ -294,38 +297,27 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
     std.  `corrected` replaces <R/S>(m) by <R/S>(m) - E[R/S](m) + sqrt(pi*m/2)
     before the fit (off by default; it under-estimates for H > 0.5).
     """
-    arr = demeaned(x)
-    n_total = arr.size
-    n_opt, factors = search_opt_seq_len(n_total, w)
+    arr, n_opt, factors = _partitioned(x, w)
 
-    scales, stats = [], []
+    stats = []
     excluded = 0
     for m in factors:
-        k = n_opt // m
-        segments = arr[:n_opt].reshape(k, m)
+        segments = arr[:n_opt].reshape(n_opt // m, m)
         bias = segments - segments.mean(axis=1, keepdims=True)
         profile = np.cumsum(bias, axis=1)
         ranges = profile.max(axis=1) - profile.min(axis=1)
         stds = bias.std(axis=1, ddof=1)
-        keep = stds > 0.0
-        excluded += int(k - keep.sum())
-        if not keep.any():
-            raise DegenerateSequenceError(f"every segment of size {m} is constant")
+        keep, dropped = _live_segments(stds, m, "is constant")
+        excluded += dropped
         ratio = float((ranges[keep] / stds[keep]).mean())
         if corrected:
             ratio = ratio - expected_rs(m) + math.sqrt(math.pi * m / 2.0)
-        scales.append(m)
         stats.append(ratio)
 
-    fit, resid = fit_power_law(scales, stats, flag)
-    return build_result(
-        "rs",
-        fit.slope,
+    return fit_result(
+        "rs", factors, stats, flag,
         {"window": w, "norm": flag, "corrected": bool(corrected)},
-        residual_norm=resid,
-        n_points=len(scales),
-        excluded_segments=excluded,
-        discarded_samples=n_total - n_opt,
+        excluded_segments=excluded, discarded_samples=arr.size - n_opt,
     )
 
 
@@ -355,11 +347,4 @@ def est_tta(x, flag=2):
         t = int(lags[np.argmin(stats)])
         raise DegenerateSequenceError(f"profile is collinear at lag {t}")
 
-    fit, resid = fit_power_law(lags, stats, flag)
-    return build_result(
-        "tta",
-        fit.slope,
-        {"norm": flag},
-        residual_norm=resid,
-        n_points=lags.size,
-    )
+    return fit_result("tta", lags, stats, flag, {"norm": flag})

@@ -15,18 +15,18 @@ from hurstkit.errors import (
     DataError,
     DegenerateSequenceError,
     InsufficientDataError,
+    NoPartitionError,
     NonConvergenceError,
     SeriesParseError,
 )
-from hurstkit.generators import FgnSpec
+from hurstkit.generators import FgnSpec, gen_fgn
 from hurstkit.harness import (
     estimate_file,
     estimate_series,
-    read_fgn_header,
     read_series,
     write_fgn,
 )
-from hurstkit.results import METHODS
+from hurstkit.results import METHODS, build_result
 
 
 def rand_series(seed, n):
@@ -76,9 +76,8 @@ def test_write_fgn_round_trip_and_header(tmp_path):
     write_fgn(path, spec)
     series = read_series(path)
     assert series.size == 500
-    assert read_fgn_header(path) == spec
-
-    from hurstkit.generators import gen_fgn
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    assert header == "# fgn hurst=0.69999999999999996 length=500 seed=11"
 
     np.testing.assert_allclose(series, gen_fgn(spec), rtol=0, atol=1e-15)
 
@@ -113,12 +112,35 @@ def test_estimate_series_prefixes_method_on_errors():
 
 
 def test_non_finite_estimate_is_data_error():
+    # the LSSD update on a 0/1 step is NaN: the solver names it, not the tail
     step = np.r_[np.zeros(5000), np.ones(5000)]
-    with pytest.raises(DataError, match="^lssd: the estimate is not finite"):
+    with pytest.raises(NonConvergenceError, match="^lssd: iteration left the reals"):
         estimate_series(step, "lssd")
     # a finite estimate outside (0, 1) is only flagged
     res = estimate_series(step, "dfa")
     assert res.hurst > 1.0 and res.diagnostics["out_of_range"] is True
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_build_result_rejects_non_finite_hurst(value):
+    with pytest.raises(DataError, match="the estimate is not finite"):
+        build_result("dfa", value, {}, residual_norm=None, n_points=0)
+
+
+def test_too_few_window_sizes_is_one_partition_error(tmp_path, capsys):
+    # at w = 50 the partition search leaves length 2503 one window size
+    spec = FgnSpec(0.7, 2503, 42)
+    x = gen_fgn(spec)
+    for method in ("am", "av", "dfa", "rs"):
+        with pytest.raises(NoPartitionError) as err:
+            estimate_series(x, method)
+        message = str(err.value)
+        assert message.startswith(f"{method}: ") and "partition" in message
+
+    path = tmp_path / "n2503.txt"
+    write_fgn(path, spec)
+    assert main(["estimate", "--input", str(path), "--method", "dfa"]) == 2
+    assert "dfa: partition" in capsys.readouterr().err
 
 
 def test_lssd_overflow_is_nonconvergence(tmp_path, capsys):

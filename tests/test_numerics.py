@@ -160,6 +160,14 @@ def test_fixed_point_overflow_in_update_reports_iterates():
     assert exc.value.last == (10.0 * exc.value.previous) ** 2.0
 
 
+def test_fixed_point_nan_iterate_is_nonconvergence():
+    # abs(nan - guess) >= eps is False, so a NaN must not read as converged
+    with pytest.raises(NonConvergenceError, match="left the reals") as exc:
+        fixed_point_solve(lambda t: math.sqrt(t - 1.0) if t >= 1.0 else math.nan,
+                          2.0, 1e-8)
+    assert math.isnan(exc.value.last) and exc.value.previous == 0.0  # 2 -> 1 -> 0
+
+
 def test_fixed_point_budget_exhaustion():
     with pytest.raises(NonConvergenceError) as exc:
         fixed_point_solve(lambda t: t + 1.0, 0.0, 1e-8)

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Print every estimate of a fixed input grid, one line per record.
+
+Each line is ``case<TAB>method<TAB>options<TAB>outcome``: the outcome is the
+``repr`` of ``EstimateResult.to_dict()``, or the error type and message (any
+exception, so one that escapes the package's error types shows too), and
+any numpy warnings raised on the way follow as ``| warn: ...``.  Text that
+LAPACK writes to the C-level stdout lands wherever its buffer flushes,
+usually at the end.  Two runs on
+different revisions of the package are bitwise identical exactly where
+their outputs agree line for line:
+
+    PYTHONPATH=src python3 tools/estimate_digest.py > before.txt
+    (change the code)
+    PYTHONPATH=src python3 tools/estimate_digest.py > after.txt
+    diff before.txt after.txt
+
+The grid: fGn at H = 0.3, 0.5, 0.7, 0.8 with three seeds at N = 3e4; the six
+i.i.d. families at N = 1e4; fGn at N = 1e5; and the edge cases step, ramp,
+random walk, constant, arange % 7, fGn x 1e200 and a length of 2503, which
+leaves the partition search one window size at the default window.  Every
+case runs through all 13 methods under each option set of OPTIONS.  It takes
+a few minutes on one core.
+"""
+
+import warnings
+
+import numpy as np
+
+from hurstkit import METHODS, FgnSpec, estimate_series, gen_fgn, gen_iid
+from hurstkit.generators import DISTRIBUTIONS
+
+OPTIONS = (
+    {},
+    {"norm": 1},
+    {"window": 20},
+    {"corrected": True},
+    {"q_order": 2.0},
+    {"cutoff": 0.2},
+)
+
+
+def cases():
+    for hurst in (0.3, 0.5, 0.7, 0.8):
+        for seed in (1, 2, 3):
+            yield f"fgn-h{hurst}-s{seed}-n30000", gen_fgn(FgnSpec(hurst, 30000, seed))
+    for name in DISTRIBUTIONS:
+        yield f"iid-{name}-n10000", gen_iid(name, 10000, 7)
+    yield "fgn-h0.7-s4-n100000", gen_fgn(FgnSpec(0.7, 100000, 4))
+    yield "step", np.r_[np.zeros(5000), np.ones(5000)]
+    yield "ramp", np.arange(10000, dtype=float)
+    yield "walk", np.cumsum(gen_iid("normal", 10000, 5))
+    yield "constant", np.full(10000, 1.0)
+    yield "mod7", (np.arange(10000) % 7).astype(float)
+    yield "fgn-x1e200", 1e200 * gen_fgn(FgnSpec(0.7, 30000, 42))
+    yield "fgn-n2503", gen_fgn(FgnSpec(0.7, 2503, 42))
+
+
+def outcome(x, method, options):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            text = repr(estimate_series(x, method, **options).to_dict())
+        except Exception as exc:  # noqa: BLE001 -- a leaked error is a record too
+            text = f"{type(exc).__name__}: {exc}"
+    for warning in caught:
+        text += f" | warn: {warning.category.__name__}: {warning.message}"
+    return text
+
+
+def main():
+    for case, x in cases():
+        for method in METHODS:
+            for options in OPTIONS:
+                line = f"{case}\t{method}\t{options}\t{outcome(x, method, options)}"
+                print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -6,11 +6,13 @@ self-similar scaling E[s_m] = sigma * c(m,H) * m^H with sigma profiled out
 analytically.  LSSD solves the resulting fixed-point equation H = Phi(H);
 LSV minimizes a quartic fitting error on [0.001, 0.999].
 
-The input is standardized to unit sample std before blocking.  The LSSD
-mapping is exactly scale-invariant so this is a no-op there, but the LSV
-objective mixes a scale-dependent data term (quartic in the input scale)
-with an absolute penalty H^{q+1}/(q+1); standardizing keeps the two terms
-on the intended footing for inputs of any magnitude.
+The input is standardized before blocking: partition.demeaned checks the
+floor of 100 samples and subtracts the mean, and the result is divided by
+its sample std.  The LSSD mapping is exactly scale-invariant so this is a
+no-op there, but the LSV objective mixes a scale-dependent data term
+(quartic in the input scale) with an absolute penalty H^{q+1}/(q+1);
+standardizing keeps the two terms on the intended footing for inputs of any
+magnitude.
 """
 
 from dataclasses import dataclass
@@ -20,12 +22,11 @@ import numpy as np
 from .errors import (
     ArgumentError,
     DegenerateSequenceError,
-    InsufficientDataError,
     SingularityError,
     SingularSystemError,
 )
 from .numerics import fixed_point_solve, loc_min_solve
-from .partition import as_series, sample_std
+from .partition import as_series, demeaned, sample_std
 from .results import build_result
 
 DEFAULT_WEIGHT_P = 2.0
@@ -202,13 +203,11 @@ def obj_fun_lsv(hurst, ctx):
 
 
 def _block_context(x, p, q):
-    arr = as_series(x)
-    if arr.size < 100:
-        raise InsufficientDataError(f"need at least 100 samples, got {arr.size}")
+    arr = demeaned(x, 100)
     spread = sample_std(arr)
     if spread == 0.0:
         raise DegenerateSequenceError("constant series has no block dispersion")
-    arr = (arr - arr.mean()) / spread
+    arr = arr / spread
 
     m_max = arr.size // 10
     stats = _block_sum_std_profile(arr, m_max)

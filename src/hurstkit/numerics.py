@@ -41,8 +41,8 @@ def format_power_law_data(x, y):
     """Turn positive (x, y) pairs into the log-log regression system.
 
     Returns (A, b) with rows A_i = (1, ln x_i) and b_i = ln y_i.  Any
-    non-positive entry is a domain error naming the (1-based) offending
-    index; fewer than two pairs cannot determine a line.
+    non-finite or non-positive entry is a domain error naming the (1-based)
+    offending index; fewer than two pairs cannot determine a line.
     """
     xa = np.asarray(x, dtype=float).reshape(-1)
     ya = np.asarray(y, dtype=float).reshape(-1)
@@ -53,10 +53,14 @@ def format_power_law_data(x, y):
             f"need >= 2 pairs to fit a power law, got {xa.size}"
         )
     for name, v in (("x", xa), ("y", ya)):
-        bad = np.flatnonzero(~(v > 0))
+        bad = np.flatnonzero(~(np.isfinite(v) & (v > 0)))
         if bad.size:
-            i = int(bad[0]) + 1
-            raise DomainError(f"non-positive {name} entry at index {i}: {v[bad[0]]!r}")
+            i = int(bad[0])
+            if np.isfinite(v[i]):
+                raise DomainError(
+                    f"non-positive {name} entry at index {i + 1}: {v[i]!r}"
+                )
+            raise DomainError(f"non-finite {name} entry at index {i + 1}: {v[i]}")
     A = np.column_stack([np.ones_like(xa), np.log(xa)])
     return A, np.log(ya)
 

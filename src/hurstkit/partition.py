@@ -38,15 +38,19 @@ def as_series(x):
     return arr
 
 
-def demeaned(x):
-    """Validate with as_series, then subtract the mean.
+def demeaned(x, min_length=2):
+    """Validate with as_series, check the length floor, subtract the mean.
 
-    The prepare step of every estimator that works on the demeaned series.
-    Their statistics are mean-free by construction, so this changes nothing
-    mathematically, but it makes shift invariance hold exactly in floating
-    point whenever the shifted inputs demean to identical arrays.
+    The prepare step of every estimator; `min_length` is the caller's floor.
+    Their statistics are mean-free by construction, so demeaning changes
+    nothing mathematically, but it makes shift invariance hold exactly in
+    floating point whenever the shifted inputs demean to identical arrays.
     """
     arr = as_series(x)
+    if arr.size < min_length:
+        raise InsufficientDataError(
+            f"need at least {min_length} samples, got {arr.size}"
+        )
     return arr - arr.mean()
 
 

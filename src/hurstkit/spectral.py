@@ -1,4 +1,8 @@
-"""Spectrum-domain Hurst estimators: periodogram, wavelet, local Whittle."""
+"""Spectrum-domain Hurst estimators: periodogram, wavelet, full-band Whittle.
+
+pm and lw read one periodogram (_periodogram); every estimator here starts
+from partition.demeaned with a floor of 100 (pm, lw) or 64 (awc, vvl) samples.
+"""
 
 from dataclasses import dataclass
 
@@ -8,7 +12,6 @@ from .errors import (
     ArgumentError,
     CutoffTooSmallError,
     DegenerateSequenceError,
-    InsufficientDataError,
     InsufficientLevelsError,
 )
 # as_series and linear_regr_solver are not called here; perfbench traces both
@@ -23,6 +26,13 @@ _LW_BRACKET = (0.001, 0.999)
 _LW_TOL = 1e-8
 
 
+def _periodogram(x):
+    """N and |X_j|^2 for j = 1..floor(N/2) of the demeaned series."""
+    arr = demeaned(x, 100)
+    bins = dft(arr)[1 : arr.size // 2 + 1]
+    return arr.size, bins.real**2 + bins.imag**2
+
+
 def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
     """Periodogram (log-periodogram regression) estimator.
 
@@ -31,12 +41,7 @@ def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
     """
     if not 0.0 < f_cutoff <= 0.5:
         raise ArgumentError(f"cutoff must lie in (0, 0.5], got {f_cutoff}")
-    arr = demeaned(x)
-    n = arr.size
-    if n < 100:
-        raise InsufficientDataError(f"need at least 100 samples, got {n}")
-
-    spectrum = dft(arr)
+    n, power = _periodogram(x)
     k = np.arange(2, n // 2 + 1)
     freq = k / n
     keep = freq <= f_cutoff
@@ -45,10 +50,8 @@ def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
             f"cutoff {f_cutoff} keeps {int(keep.sum())} of {k.size} bins; "
             f"need at least 2"
         )
-    k = k[keep]
     scales = 4.0 * np.sin(freq[keep] / 2.0) ** 2
-    bins = spectrum[k - 1]
-    power = (bins.real**2 + bins.imag**2) / n
+    power = power[:-1][keep] / n  # bin k-1 pairs with frequency k/n
 
     return fit_result("pm", scales, power, flag,
                       {"cutoff": f_cutoff, "norm": flag},
@@ -68,11 +71,7 @@ def est_dwt(x, r=1, flag=2):
     """
     if r not in (1, 2):
         raise ArgumentError(f"order r must be 1 or 2, got {r!r}")
-    arr = demeaned(x)
-    if arr.size < 64:
-        raise InsufficientDataError(f"need at least 64 samples, got {arr.size}")
-
-    dec = wavedec(arr, DB24_LOWPASS if r == 1 else HAAR_LOWPASS)
+    dec = wavedec(demeaned(x, 64), DB24_LOWPASS if r == 1 else HAAR_LOWPASS)
     scales, stats = [], []
     excluded = 0
     for level, detail in enumerate(dec.details, start=1):
@@ -119,7 +118,7 @@ class LwObjectiveData:
 
 
 def obj_fun_lw(hurst, data):
-    """Local-Whittle profile objective
+    """Full-band Whittle profile objective
 
         psi(H) = ln[ mean(f^{2H-1} I) ] - (2H-1) * mean(ln f).
     """
@@ -131,20 +130,14 @@ def obj_fun_lw(hurst, data):
 
 
 def est_lw(x):
-    """Local Whittle estimator: minimize psi over H in [0.001, 0.999].
+    """Full-band Whittle estimator: minimize psi over H in [0.001, 0.999].
 
     Uses all floor(N/2) positive frequencies j/N with powers |X^(j)|^2; the
     known downward bias at small H is inherent to this full-band variant.
     """
-    arr = demeaned(x)
-    n = arr.size
-    if n < 100:
-        raise InsufficientDataError(f"need at least 100 samples, got {n}")
-
-    spectrum = dft(arr)
+    n, power = _periodogram(x)
     j = np.arange(1, n // 2 + 1)
-    bins = spectrum[j]
-    data = LwObjectiveData(j / n, bins.real**2 + bins.imag**2)
+    data = LwObjectiveData(j / n, power)
 
     hurst = loc_min_solve(obj_fun_lw, *_LW_BRACKET, _LW_TOL, params=(data,))
     return build_result(

@@ -17,9 +17,10 @@ tta    total triangle area           H = slope
 c_k(H) corrects am and av for measuring segment means against the grand mean
 of the k segments (see est_central).
 
-Every estimator starts from partition.demeaned, so shift invariance holds
-exactly in floating point whenever the shifted inputs demean to identical
-arrays.  am, av, dfa and rs then share one partition step (_partitioned),
+Every estimator starts from partition.demeaned, which also checks its
+minimum length, so shift invariance holds exactly in floating point whenever
+the shifted inputs demean to identical arrays.  am, av, dfa and rs then
+share one partition step (_partitioned), whose search needs w^2 samples,
 dfa and rs one rule for dropping zero-spread segments (_live_segments), and
 all but am and av end in results.fit_result.
 """
@@ -32,7 +33,6 @@ from .aggregation import clip_hurst, fun_cm_lsv
 from .errors import (
     ArgumentError,
     DegenerateSequenceError,
-    InsufficientDataError,
     NoPartitionError,
 )
 from .numerics import fit_power_law, fixed_point_solve, linear_regr_solver
@@ -174,10 +174,7 @@ def est_ghe(x, q=1.0, flag=2):
     """
     if not q > 0:
         raise ArgumentError(f"moment order q must be positive, got {q}")
-    arr = demeaned(x)
-    if arr.size <= 20:
-        raise InsufficientDataError(f"need more than 20 samples, got {arr.size}")
-    y = cumulative_bias(arr)
+    y = cumulative_bias(demeaned(x, 21))
 
     lags = np.arange(1, 11)
     stats = np.array(
@@ -198,11 +195,8 @@ def _higuchi_lag(idx):
 
 def est_higuchi(x, flag=2):
     """Higuchi curve-length method: H = 2 + slope of ln L(m) vs ln m."""
-    arr = demeaned(x)
-    n = arr.size
-    if n <= 64:
-        raise InsufficientDataError(f"need more than 64 samples, got {n}")
-    y = cumulative_bias(arr)
+    y = cumulative_bias(demeaned(x, 65))
+    n = y.size
 
     lags = np.array([_higuchi_lag(i) for i in range(1, 11)])
     stats = np.empty(lags.size)
@@ -330,11 +324,8 @@ def est_tta(x, flag=2):
     difference there is still sensitive to the marginal shape of the input
     (heavy tails inflate it), which tilts the whole fit upward.
     """
-    arr = demeaned(x)
-    n = arr.size
-    if n < 41:
-        raise InsufficientDataError(f"need at least 41 samples, got {n}")
-    y = cumulative_bias(arr)
+    y = cumulative_bias(demeaned(x, 41))
+    n = y.size
 
     lags = np.arange(3, 13)
     stats = np.empty(lags.size)

@@ -1,7 +1,7 @@
 """Tests for file I/O, the dispatcher, bench reports, and the CLI."""
 
 import json
-import tomllib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from hurstkit.errors import (
     NonConvergenceError,
     SeriesParseError,
 )
-from hurstkit.generators import FgnSpec, gen_fgn
+from hurstkit.generators import FgnSpec, gen_fgn, gen_iid
 from hurstkit.harness import (
     estimate_file,
     estimate_series,
@@ -35,8 +35,10 @@ def rand_series(seed, n):
 
 def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        declared = tomllib.load(fh)["project"]["version"]
+    # a regex, not tomllib: that module is new in 3.11 and the package
+    # supports 3.10
+    text = pyproject.read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
     assert hurstkit.__version__ == declared
 
 
@@ -141,6 +143,39 @@ def test_too_few_window_sizes_is_one_partition_error(tmp_path, capsys):
     write_fgn(path, spec)
     assert main(["estimate", "--input", str(path), "--method", "dfa"]) == 2
     assert "dfa: partition" in capsys.readouterr().err
+
+
+# each method's floor in partition.demeaned; am/av/dfa/rs need w^2 instead
+PREPARE_FLOORS = {
+    "ghe": 21, "hm": 65, "tta": 41, "awc": 64, "vvl": 64,
+    "pm": 100, "lw": 100, "lssd": 100, "lsv": 100,
+}
+
+
+@pytest.mark.parametrize("method", PREPARE_FLOORS)
+def test_prepare_step_floor(method):
+    floor = PREPARE_FLOORS[method]
+    with pytest.raises(
+        InsufficientDataError,
+        match=f"^{method}: need at least {floor} samples, got {floor - 1}$",
+    ):
+        estimate_series(gen_iid("normal", floor - 1, 3), method)
+    assert np.isfinite(estimate_series(gen_iid("normal", floor, 3), method).hurst)
+
+
+def test_overflowed_statistic_is_fit_domain_error(tmp_path, capfd):
+    # the block-mean variances of fGn x 1e200 overflow to inf; the fitter
+    # must reject them before LAPACK sees them
+    x = 1e200 * gen_fgn(FgnSpec(0.7, 30000, 42))
+    path = tmp_path / "huge.txt"
+    path.write_text("".join(f"{v:.17g}\n" for v in x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["estimate", "--input", str(path), "--method", "av",
+                     "--norm", "1"])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert "av: non-finite y entry at index" in err
+    assert "Traceback" not in err and "DLASCL" not in out
 
 
 def test_lssd_overflow_is_nonconvergence(tmp_path, capsys):

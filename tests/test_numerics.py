@@ -20,6 +20,7 @@ from hurstkit.errors import (
     UnderdeterminedSystemError,
 )
 from hurstkit.numerics import (
+    fit_power_law,
     fixed_point_solve,
     format_power_law_data,
     linear_regr_solver,
@@ -61,6 +62,16 @@ def test_format_power_law_data_domain_errors():
         format_power_law_data([2.0], [3.0])
     with pytest.raises(ArgumentError):
         format_power_law_data([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("flag", [1, 2])
+def test_fit_power_law_rejects_non_finite(flag):
+    with pytest.raises(DomainError, match=r"^non-finite y entry at index 2: inf$"):
+        fit_power_law([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], flag)
+    with pytest.raises(DomainError, match=r"^non-finite y entry at index 1: nan$"):
+        fit_power_law([1.0, 2.0, 3.0], [math.nan, 2.0, 3.0], flag)
+    with pytest.raises(DomainError, match=r"^non-finite x entry at index 3: inf$"):
+        fit_power_law([1.0, 2.0, math.inf], [1.0, 2.0, 3.0], flag)
 
 
 # ---------------------------------------------------------------- l2 fitting

@@ -15,6 +15,7 @@ from hurstkit.errors import (
 from hurstkit.partition import (
     as_series,
     cumulative_bias,
+    demeaned,
     gen_sbpf,
     sample_std,
     search_opt_seq_len,
@@ -59,6 +60,14 @@ def test_as_series_returns_float64_copy():
     out = as_series([1, 2, 3])
     assert out.dtype == np.float64
     assert out.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_demeaned_checks_floor_then_subtracts_mean():
+    with pytest.raises(InsufficientDataError, match="^need at least 4 samples, got 3$"):
+        demeaned([1.0, 2.0, 6.0], 4)
+    assert demeaned([1.0, 2.0, 6.0]).tolist() == [-2.0, -1.0, 3.0]
+    with pytest.raises(ArgumentError):
+        demeaned([1.0, math.nan, 2.0], 2)
 
 
 def test_as_series_rejects_short_and_multidim():

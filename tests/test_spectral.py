@@ -1,4 +1,4 @@
-"""Tests for the periodogram, wavelet, and local-Whittle estimators."""
+"""Tests for the periodogram, wavelet, and full-band Whittle estimators."""
 
 import numpy as np
 import pytest
@@ -115,7 +115,7 @@ def test_dwt_method_ids():
 
 
 # ---------------------------------------------------------------------------
-# local Whittle
+# full-band Whittle
 
 
 def test_obj_fun_lw_matches_accumulation_oracle():

@@ -18,9 +18,11 @@ their outputs agree line for line:
 The grid: fGn at H = 0.3, 0.5, 0.7, 0.8 with three seeds at N = 3e4; the six
 i.i.d. families at N = 1e4; fGn at N = 1e5; and the edge cases step, ramp,
 random walk, constant, arange % 7, fGn x 1e200 and a length of 2503, which
-leaves the partition search one window size at the default window.  Every
-case runs through all 13 methods under each option set of OPTIONS.  It takes
-a few minutes on one core.
+leaves the partition search one window size at the default window; and
+i.i.d. normal series at FLOOR_LENGTHS, one below and at each method's
+minimum length (ghe 21, tta 41, awc/vvl 64, hm 65, pm/lw/lssd/lsv 100).
+Every case runs through all 13 methods under each option set of OPTIONS.
+It takes a few minutes on one core.
 """
 
 import warnings
@@ -39,6 +41,8 @@ OPTIONS = (
     {"cutoff": 0.2},
 )
 
+FLOOR_LENGTHS = (20, 21, 40, 41, 63, 64, 65, 99, 100)
+
 
 def cases():
     for hurst in (0.3, 0.5, 0.7, 0.8):
@@ -54,6 +58,8 @@ def cases():
     yield "mod7", (np.arange(10000) % 7).astype(float)
     yield "fgn-x1e200", 1e200 * gen_fgn(FgnSpec(0.7, 30000, 42))
     yield "fgn-n2503", gen_fgn(FgnSpec(0.7, 2503, 42))
+    for n in FLOOR_LENGTHS:
+        yield f"iid-normal-n{n}", gen_iid("normal", n, 3)
 
 
 def outcome(x, method, options):

@@ -35,8 +35,8 @@ with tempfile.TemporaryDirectory() as tmp:
     # exit codes: 1 for argument problems, 2 for data problems
     bad = str(Path(tmp) / "flat.txt")
     Path(bad).write_text("1.0\n" * 500)
-    print("$ hurstkit estimate --input flat.txt --method dfa")
-    code = main(["estimate", "--input", bad, "--method", "dfa"])
+    print("$ hurstkit estimate --input flat.txt --method ghe")
+    code = main(["estimate", "--input", bad, "--method", "ghe"])
     print(f"  exit code {code} (degenerate data)")
     code = main(["estimate", "--input", series, "--method", "nope"])
     print(f"  exit code {code} (unknown method)")

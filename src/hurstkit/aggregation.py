@@ -27,7 +27,7 @@ from .errors import (
 )
 from .numerics import fixed_point_solve, loc_min_solve
 from .partition import as_series, demeaned, sample_std
-from .results import build_result
+from .results import build_result, live_scales
 
 DEFAULT_WEIGHT_P = 2.0
 DEFAULT_LSV_WEIGHT_P = 6.0
@@ -210,15 +210,10 @@ def _block_context(x, p, q):
     arr = arr / spread
 
     m_max = arr.size // 10
-    stats = _block_sum_std_profile(arr, m_max)
-    keep = stats > 0.0
-    excluded = int(m_max - keep.sum())
-    if keep.sum() < 2:
-        raise DegenerateSequenceError(
-            f"block sums carry no dispersion at {excluded} of {m_max} scales"
-        )
-    scales = np.arange(1.0, m_max + 1.0)[keep]
-    ctx = BlockSumContext(arr.size, float(p), float(q), scales, stats[keep])
+    scales, stats, excluded = live_scales(
+        np.arange(1.0, m_max + 1.0), _block_sum_std_profile(arr, m_max)
+    )
+    ctx = BlockSumContext(arr.size, float(p), float(q), scales, stats)
     return ctx, excluded
 
 

@@ -73,10 +73,6 @@ class CutoffTooSmallError(ArgumentError):
     """Frequency cutoff leaves fewer than two spectral bins."""
 
 
-class InsufficientLevelsError(DataError):
-    """Fewer than two usable decomposition levels."""
-
-
 class SeriesParseError(DataError):
     """A data file failed to parse; carries the 1-based line number."""
 

@@ -56,11 +56,9 @@ def format_power_law_data(x, y):
         bad = np.flatnonzero(~(np.isfinite(v) & (v > 0)))
         if bad.size:
             i = int(bad[0])
-            if np.isfinite(v[i]):
-                raise DomainError(
-                    f"non-positive {name} entry at index {i + 1}: {v[i]!r}"
-                )
-            raise DomainError(f"non-finite {name} entry at index {i + 1}: {v[i]}")
+            value = float(v[i])
+            kind = "non-positive" if math.isfinite(value) else "non-finite"
+            raise DomainError(f"{kind} {name} entry at index {i + 1}: {value}")
     A = np.column_stack([np.ones_like(xa), np.log(xa)])
     return A, np.log(ya)
 

@@ -113,7 +113,9 @@ def search_opt_seq_len(n, w, alpha=DEFAULT_ALPHA):
     if not 0.95 <= alpha <= 1.0:
         raise ArgumentError(f"need 0.95 <= alpha <= 1, got {alpha}")
     if n < w * w:
-        raise InsufficientDataError(f"need n >= w^2 = {w * w}, got {n}")
+        raise InsufficientDataError(
+            f"partition of {n} samples at w={w} needs w^2 = {w * w}"
+        )
 
     lo = int(np.ceil(alpha * n))
     d = np.arange(w, n // w + 1)
@@ -126,7 +128,8 @@ def search_opt_seq_len(n, w, alpha=DEFAULT_ALPHA):
     best = counts.size - 1 - int(np.argmax(counts[::-1]))  # largest wins ties
     if counts[best] == 0:
         raise NoPartitionError(
-            f"no length in [{lo}, {n}] has a factor in [{w}, length//{w}]"
+            f"partition of {n} samples at w={w} finds no length in "
+            f"[{lo}, {n}] with a factor in [{w}, length//{w}]"
         )
     best_len = lo + best
     return best_len, gen_sbpf(best_len, w)

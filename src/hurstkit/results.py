@@ -3,7 +3,9 @@
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataError
+import numpy as np
+
+from .errors import DataError, DegenerateSequenceError
 from .numerics import fit_power_law
 
 METHODS = (
@@ -57,15 +59,37 @@ def build_result(method, hurst, config, *, residual_norm, n_points,
     return EstimateResult(method, hurst, dict(config), diagnostics)
 
 
+def live_scales(scales, stats):
+    """Drop the scales whose statistic is 0, which has no logarithm.
+
+    The one rule of every estimator that fits over scales.  Returns the
+    remaining scales and statistics as float arrays and the number dropped;
+    a slope needs two scales, so fewer left is a degenerate series.  Any
+    other statistic, negative or non-finite included, is kept, for the
+    fitter to reject by index.
+    """
+    scales = np.asarray(scales, dtype=float)
+    stats = np.asarray(stats, dtype=float)
+    keep = stats != 0.0
+    dropped = int(stats.size - np.count_nonzero(keep))
+    if stats.size - dropped < 2:
+        raise DegenerateSequenceError(
+            f"the scale statistic is 0 at {dropped} of {stats.size} scales; "
+            f"a slope needs 2 above 0"
+        )
+    return scales[keep], stats[keep], dropped
+
+
 def fit_result(method, scales, stats, flag, config, *, offset=0.0, divisor=1.0,
-               **diagnostics):
+               excluded_segments=0, **diagnostics):
     """Fit ln stats on ln scales in the flag-selected norm and build the
     result with H = offset + slope / divisor.
 
-    The shared tail of the log-log estimators; the fit's residual norm and
-    point count fill the standard diagnostics, and `diagnostics` passes on
-    to build_result.
+    The shared tail of the log-log estimators.  The scales live_scales drops
+    add to `excluded_segments`; the fit's residual norm and point count fill
+    the standard diagnostics, and `diagnostics` passes on to build_result.
     """
+    scales, stats, dropped = live_scales(scales, stats)
     fit, resid = fit_power_law(scales, stats, flag)
     return build_result(
         method,
@@ -73,5 +97,6 @@ def fit_result(method, scales, stats, flag, config, *, offset=0.0, divisor=1.0,
         config,
         residual_norm=resid,
         n_points=len(scales),
+        excluded_segments=excluded_segments + dropped,
         **diagnostics,
     )

@@ -8,12 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    CutoffTooSmallError,
-    DegenerateSequenceError,
-    InsufficientLevelsError,
-)
+from .errors import ArgumentError, CutoffTooSmallError, DegenerateSequenceError
 # as_series and linear_regr_solver are not called here; perfbench traces both
 from .numerics import linear_regr_solver, loc_min_solve  # noqa: F401
 from .partition import as_series, demeaned  # noqa: F401
@@ -63,36 +58,25 @@ def est_dwt(x, r=1, flag=2):
     or coefficient-magnitude variances (r=2, "vvl", Haar).
 
     Per level j the statistic of |detail| is regressed on ln 2^j;
-    H = 1/2 + slope/r.  Levels with fewer than MIN_LEVEL_COEFFS coefficients,
-    or a zero statistic, are excluded; fewer than two usable levels is an
-    error.  The floor matters: the coarsest levels sit at maximum leverage in
-    the fit, and a variance taken over a handful of coefficients is noisy
-    enough there to swing the slope by tenths.
+    H = 1/2 + slope/r.  Levels with fewer than MIN_LEVEL_COEFFS coefficients
+    are excluded: the coarsest levels sit at maximum leverage in the fit,
+    and a variance taken over a handful of coefficients is noisy enough
+    there to swing the slope by tenths.  The 64-sample floor always leaves
+    two levels (32 and 16 coefficients at N = 64).
     """
     if r not in (1, 2):
         raise ArgumentError(f"order r must be 1 or 2, got {r!r}")
     dec = wavedec(demeaned(x, 64), DB24_LOWPASS if r == 1 else HAAR_LOWPASS)
     scales, stats = [], []
-    excluded = 0
     for level, detail in enumerate(dec.details, start=1):
-        if detail.size < MIN_LEVEL_COEFFS:
-            excluded += 1
-            continue
-        mag = np.abs(detail)
-        stat = float(mag.mean()) if r == 1 else float(np.var(mag, ddof=1))
-        if stat > 0.0:
+        if detail.size >= MIN_LEVEL_COEFFS:
+            mag = np.abs(detail)
+            stat = mag.mean() if r == 1 else np.var(mag, ddof=1)
             scales.append(2.0**level)
-            stats.append(stat)
-        else:
-            excluded += 1
-    if len(scales) < 2:
-        raise InsufficientLevelsError(
-            f"only {len(scales)} of {dec.levels} levels usable"
-        )
-
+            stats.append(float(stat))
     return fit_result("awc" if r == 1 else "vvl", scales, stats, flag,
                       {"r": r, "norm": flag}, offset=0.5, divisor=r,
-                      excluded_segments=excluded)
+                      excluded_segments=dec.levels - len(scales))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ minimum length, so shift invariance holds exactly in floating point whenever
 the shifted inputs demean to identical arrays.  am, av, dfa and rs then
 share one partition step (_partitioned), whose search needs w^2 samples,
 dfa and rs one rule for dropping zero-spread segments (_live_segments), and
-all but am and av end in results.fit_result.
+all but am and av end in results.fit_result.  Every one of them drops a
+scale whose statistic is 0 by the same rule, results.live_scales.
 """
 
 import math
@@ -44,7 +45,7 @@ from .partition import (  # noqa: F401
     search_opt_seq_len,
     seq_partition,
 )
-from .results import build_result, fit_result
+from .results import build_result, fit_result, live_scales
 
 DEFAULT_WINDOW = 50
 
@@ -109,35 +110,20 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
     (0, 1).  An uncorrected estimate outside (0, 1) -- a trend, a random
     walk -- has no fGn model to correct towards and is reported as it is.
 
-    Scales whose statistic vanishes are excluded, and fewer than two usable
-    scales is a degenerate series.
+    A scale whose statistic is 0 is dropped by results.live_scales.
     """
     if r not in (1, 2):
         raise ArgumentError(f"order r must be 1 or 2, got {r!r}")
     arr, n_opt, factors = _partitioned(x, w)
 
-    scales, stats = [], []
-    excluded = 0
+    stats = []
     for m in factors:
-        k = n_opt // m
-        means = arr[:n_opt].reshape(k, m).mean(axis=1)
+        means = arr[:n_opt].reshape(n_opt // m, m).mean(axis=1)
         if r == 1:
-            nu = float(np.abs(means).mean())  # grand mean is zero by demeaned
+            stats.append(float(np.abs(means).mean()))  # grand mean is 0
         else:
-            nu = float(np.var(means, ddof=1))
-        if nu > 0.0:
-            scales.append(m)
-            stats.append(nu)
-        else:
-            excluded += 1
-    if len(scales) < 2:
-        raise DegenerateSequenceError(
-            f"segment means carry no dispersion at {excluded} of "
-            f"{len(factors)} scales"
-        )
-
-    scales = np.array(scales, dtype=float)
-    stats = np.array(stats)
+            stats.append(float(np.var(means, ddof=1)))
+    scales, stats, excluded = live_scales(factors, stats)
 
     def corrected_fit(hurst):
         c = _grand_mean_factor(scales, n_opt, hurst, r)
@@ -180,9 +166,6 @@ def est_ghe(x, q=1.0, flag=2):
     stats = np.array(
         [np.mean(np.abs(y[t:] - y[:-t]) ** q) for t in lags]
     )
-    if np.any(stats == 0.0):
-        t = int(lags[np.argmin(stats)])
-        raise DegenerateSequenceError(f"profile repeats with period {t}")
 
     return fit_result("ghe", lags, stats, flag, {"q_order": q, "norm": flag},
                       divisor=q)
@@ -206,8 +189,6 @@ def est_higuchi(x, flag=2):
         # complete windows only: the first (k-1)*m lagged differences
         length = diffs[: (k - 1) * m].mean()
         stats[j] = (n - 1) * length / m**2
-    if np.any(stats == 0.0):
-        raise DegenerateSequenceError("flat profile: zero curve length")
 
     return fit_result("hm", lags, stats, flag, {"norm": flag}, offset=2.0)
 
@@ -334,8 +315,5 @@ def est_tta(x, flag=2):
         start = 2 * tau * np.arange(count)
         heights = np.abs(y[start + 2 * tau] - 2.0 * y[start + tau] + y[start])
         stats[j] = 0.5 * tau * heights.sum()
-    if np.any(stats == 0.0):
-        t = int(lags[np.argmin(stats)])
-        raise DegenerateSequenceError(f"profile is collinear at lag {t}")
 
     return fit_result("tta", lags, stats, flag, {"norm": flag})

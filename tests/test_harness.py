@@ -26,7 +26,7 @@ from hurstkit.harness import (
     read_series,
     write_fgn,
 )
-from hurstkit.results import METHODS, build_result
+from hurstkit.results import METHODS, build_result, live_scales
 
 
 def rand_series(seed, n):
@@ -108,9 +108,30 @@ def test_estimate_series_rejects_unknowns():
 
 
 def test_estimate_series_prefixes_method_on_errors():
-    with pytest.raises(DegenerateSequenceError) as err:
-        estimate_series(np.full(500, 1.0), "ghe")
-    assert str(err.value).startswith("ghe:")
+    # a constant series has a statistic of 0 at every scale, which every
+    # method that fits over scales reports by the one rule of live_scales
+    for method in ("am", "av", "ghe", "hm", "tta", "pm", "awc", "vvl"):
+        with pytest.raises(
+            DegenerateSequenceError,
+            match=rf"^{method}: the scale statistic is 0 at (\d+) of \1 "
+                  r"scales; a slope needs 2 above 0$",
+        ):
+            estimate_series(np.full(3000, 1.0), method)
+
+
+def test_live_scales_drops_zero_statistics():
+    scales, stats, dropped = live_scales([1, 2, 3, 4], [0.5, 0.0, 2.0, 0.0])
+    assert scales.dtype == stats.dtype == np.float64
+    assert scales.tolist() == [1.0, 3.0] and stats.tolist() == [0.5, 2.0]
+    assert dropped == 2
+    scales, stats, dropped = live_scales([1, 2], [3.0, 4.0])
+    assert scales.tolist() == [1.0, 2.0] and stats.tolist() == [3.0, 4.0]
+    assert dropped == 0
+    with pytest.raises(
+        DegenerateSequenceError,
+        match=r"^the scale statistic is 0 at 2 of 3 scales; a slope needs 2",
+    ):
+        live_scales([1, 2, 3], [0.0, 1.0, 0.0])
 
 
 def test_non_finite_estimate_is_data_error():
@@ -121,6 +142,10 @@ def test_non_finite_estimate_is_data_error():
     # a finite estimate outside (0, 1) is only flagged
     res = estimate_series(step, "dfa")
     assert res.hurst > 1.0 and res.diagnostics["out_of_range"] is True
+    # every other bin of its periodogram is exactly 0 and drops out
+    res = estimate_series(step, "pm")
+    assert res.hurst > 1.0 and res.diagnostics["out_of_range"] is True
+    assert res.diagnostics["excluded_segments"] == 499
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -143,6 +168,16 @@ def test_too_few_window_sizes_is_one_partition_error(tmp_path, capsys):
     write_fgn(path, spec)
     assert main(["estimate", "--input", str(path), "--method", "dfa"]) == 2
     assert "dfa: partition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["am", "av", "dfa", "rs"])
+def test_partition_search_errors_name_the_stage(method):
+    # below w^2 samples, and a prime length whose search window holds only
+    # itself
+    with pytest.raises(InsufficientDataError, match=rf"^{method}: partition"):
+        estimate_series(rand_series(0, 500), method)
+    with pytest.raises(NoPartitionError, match=rf"^{method}: partition"):
+        estimate_series(rand_series(0, 97), method, window=5)
 
 
 # each method's floor in partition.demeaned; am/av/dfa/rs need w^2 instead

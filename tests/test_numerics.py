@@ -56,7 +56,8 @@ def test_format_power_law_data_layout():
 def test_format_power_law_data_domain_errors():
     with pytest.raises(DomainError, match="index 2"):
         format_power_law_data([1.0, -1.0, 2.0], [1.0, 1.0, 1.0])
-    with pytest.raises(DomainError, match="index 3"):
+    # the offending value prints as a Python float, not as np.float64(0.0)
+    with pytest.raises(DomainError, match=r"^non-positive y entry at index 3: 0.0$"):
         format_power_law_data([1.0, 1.0, 2.0], [1.0, 1.0, 0.0])
     with pytest.raises(UnderdeterminedSystemError):
         format_power_law_data([2.0], [3.0])

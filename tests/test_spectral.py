@@ -8,7 +8,6 @@ from hurstkit.errors import (
     CutoffTooSmallError,
     DegenerateSequenceError,
     InsufficientDataError,
-    InsufficientLevelsError,
 )
 from hurstkit.numerics import loc_min_solve
 from hurstkit.spectral import (
@@ -104,7 +103,7 @@ def test_dwt_validation():
         est_dwt(rand_series(0, 128), r=3)
     with pytest.raises(InsufficientDataError):
         est_dwt(rand_series(0, 63))
-    with pytest.raises(InsufficientLevelsError):
+    with pytest.raises(DegenerateSequenceError):
         est_dwt(np.full(128, 5.0), r=2)
 
 

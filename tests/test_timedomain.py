@@ -498,6 +498,16 @@ def test_result_surface(runner, method, config_keys):
     assert res.diagnostics["n_points"] >= 2
 
 
+@pytest.mark.parametrize("runner", [est_ghe, est_higuchi, est_tta])
+def test_periodic_profile_drops_zero_lags(runner):
+    # the profile of +1, -1, ... is 1, 0, 1, 0, ...: every even lag has a
+    # statistic of 0 and drops out, the odd lags are all alike, so H is ~0
+    res = runner(np.tile([1.0, -1.0], 5000))
+    assert abs(res.hurst) < 1e-3
+    assert res.diagnostics["excluded_segments"] > 0
+    assert res.diagnostics["n_points"] == 10 - res.diagnostics["excluded_segments"]
+
+
 def test_exact_shift_invariance_on_balanced_integers():
     rng = np.random.Generator(np.random.PCG64(5))
     x = rng.integers(-40, 40, 300).astype(float)

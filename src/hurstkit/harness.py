@@ -140,5 +140,4 @@ def write_fgn(path, spec):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# fgn hurst={spec.hurst:.17g} length={spec.length} "
                  f"seed={spec.seed}\n")
-        for value in series:
-            fh.write(f"{value:.17g}\n")
+        fh.write(("%.17g\n" * series.size) % tuple(series.tolist()))

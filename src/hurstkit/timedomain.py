@@ -23,10 +23,14 @@ the shifted inputs demean to identical arrays.  am, av, dfa and rs then
 share one partition step (_partitioned), whose search needs w^2 samples,
 dfa and rs one rule for dropping zero-spread segments (_live_segments), and
 all but am and av end in results.fit_result.  Every one of them drops a
-scale whose statistic is 0 by the same rule, results.live_scales.
+scale whose statistic is 0 by the same rule, results.live_scales.  The window
+sizes of am, av, dfa (least squares) and rs are independent passes over the
+prefix, so _map_scales spreads them over up to four threads once the prefix
+is long enough to repay it; each scale is computed exactly as on one thread.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -52,6 +56,41 @@ DEFAULT_WINDOW = 50
 # am/av grand-mean correction: stop once successive H move by less than
 # this, far below the 1e-9 scale-invariance the estimates are held to
 _CENTRAL_EPS = 1e-12
+
+# Below this prefix length starting threads costs more than the window sizes
+# save (break-even near 1e5 samples for rs on two cores).
+_THREADED_MIN_SAMPLES = 200_000
+# Each worker holds about three n_opt-float temporaries; this bounds memory.
+_MAX_WORKERS = 4
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _map_scales(stat, factors, n_opt):
+    """[stat(m) for m in factors], on worker threads for a long prefix.
+
+    numpy releases the GIL inside the reductions each scale makes, so once
+    the n_opt-sample prefix is long enough and more than one CPU is usable
+    the scales run on a thread pool.  Results come back in factor order, and
+    an exception raised for a scale is re-raised here, the first in factor
+    order, exactly as the serial loop would raise it; the scales not yet
+    started are then cancelled.  The pool lives for this call only, so no
+    thread outlives it.
+    """
+    workers = min(_usable_cpus(), _MAX_WORKERS, len(factors))
+    if n_opt < _THREADED_MIN_SAMPLES or workers < 2:
+        return [stat(m) for m in factors]
+    # imported here: concurrent.futures pulls in logging, which the serial
+    # path and `import hurstkit` should not pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(stat, factors))
 
 
 def _partitioned(x, w):
@@ -116,14 +155,15 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
         raise ArgumentError(f"order r must be 1 or 2, got {r!r}")
     arr, n_opt, factors = _partitioned(x, w)
 
-    stats = []
-    for m in factors:
+    def scale_stat(m):
         means = arr[:n_opt].reshape(n_opt // m, m).mean(axis=1)
         if r == 1:
-            stats.append(float(np.abs(means).mean()))  # grand mean is 0
-        else:
-            stats.append(float(np.var(means, ddof=1)))
-    scales, stats, excluded = live_scales(factors, stats)
+            return float(np.abs(means).mean())  # grand mean is 0
+        return float(np.var(means, ddof=1))
+
+    scales, stats, excluded = live_scales(
+        factors, _map_scales(scale_stat, factors, n_opt)
+    )
 
     def corrected_fit(hurst):
         c = _grand_mean_factor(scales, n_opt, hurst, r)
@@ -230,17 +270,22 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     arr, n_opt, factors = _partitioned(x, w)
     z = cumulative_bias(arr[:n_opt])
 
-    stats = []
-    excluded = 0
-    for m in factors:
+    def scale_stat(m):
         stds = _detrended_stds(z.reshape(n_opt // m, m), flag)
         keep, dropped = _live_segments(stds, m, "detrends exactly")
-        excluded += dropped
-        stats.append(float(stds[keep].mean()))
+        return float(stds[keep].mean()), dropped
+
+    if flag == 2:
+        pairs = _map_scales(scale_stat, factors, n_opt)
+    else:
+        # the IRLS row loop holds the GIL, and perfbench traces its
+        # linear_regr_solver calls on a single-threaded span stack
+        pairs = [scale_stat(m) for m in factors]
+    stats, dropped = zip(*pairs)
 
     return fit_result(
         "dfa", factors, stats, flag, {"window": w, "norm": flag},
-        excluded_segments=excluded, discarded_samples=arr.size - n_opt,
+        excluded_segments=sum(dropped), discarded_samples=arr.size - n_opt,
     )
 
 
@@ -274,25 +319,25 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
     """
     arr, n_opt, factors = _partitioned(x, w)
 
-    stats = []
-    excluded = 0
-    for m in factors:
+    def scale_ratio(m):
         segments = arr[:n_opt].reshape(n_opt // m, m)
         bias = segments - segments.mean(axis=1, keepdims=True)
         profile = np.cumsum(bias, axis=1)
         ranges = profile.max(axis=1) - profile.min(axis=1)
-        stds = bias.std(axis=1, ddof=1)
+        # the rows are demeaned already: std(ddof=1) without a second mean
+        stds = np.sqrt(np.einsum("ij,ij->i", bias, bias) / (m - 1))
         keep, dropped = _live_segments(stds, m, "is constant")
-        excluded += dropped
         ratio = float((ranges[keep] / stds[keep]).mean())
         if corrected:
             ratio = ratio - expected_rs(m) + math.sqrt(math.pi * m / 2.0)
-        stats.append(ratio)
+        return ratio, dropped
+
+    stats, dropped = zip(*_map_scales(scale_ratio, factors, n_opt))
 
     return fit_result(
         "rs", factors, stats, flag,
         {"window": w, "norm": flag, "corrected": bool(corrected)},
-        excluded_segments=excluded, discarded_samples=arr.size - n_opt,
+        excluded_segments=sum(dropped), discarded_samples=arr.size - n_opt,
     )
 
 

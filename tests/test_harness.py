@@ -82,6 +82,8 @@ def test_write_fgn_round_trip_and_header(tmp_path):
     assert header == "# fgn hurst=0.69999999999999996 length=500 seed=11"
 
     np.testing.assert_allclose(series, gen_fgn(spec), rtol=0, atol=1e-15)
+    body = "".join(f"{value:.17g}\n" for value in gen_fgn(spec))
+    assert path.read_text(encoding="utf-8") == f"{header}\n{body}"
 
     again = tmp_path / "fgn2.txt"
     write_fgn(again, (0.7, 500, 11))

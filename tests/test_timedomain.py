@@ -8,16 +8,24 @@ replaced, kept here as an oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import hurstkit
+from hurstkit import timedomain
 from hurstkit.errors import (
     ArgumentError,
     DegenerateSequenceError,
+    HurstkitError,
     InsufficientDataError,
 )
 from hurstkit.generators import FgnSpec, fgn_autocorr, gen_fgn
@@ -468,6 +476,64 @@ def test_tta_validation():
         est_tta(rand_series(0, 40))
     with pytest.raises(DegenerateSequenceError):
         est_tta(np.full(100, 4.2))
+
+
+# ---------------------------------------------------------------------------
+# threaded scale map
+
+
+@pytest.mark.parametrize(
+    "runner, mapped",
+    [
+        (lambda x: est_central(x, 50, 1, 2), True),
+        (lambda x: est_central(x, 50, 2, 2), True),
+        (lambda x: est_dfa(x, 50, 1), False),  # IRLS stays serial
+        (lambda x: est_dfa(x, 50, 2), True),
+        (lambda x: est_rs(x, 50, 2, False), True),
+        (lambda x: est_rs(x, 50, 2, True), True),
+    ],
+    ids=["am", "av", "dfa-norm1", "dfa", "rs", "rs-corrected"],
+)
+def test_threaded_scale_map_matches_serial(monkeypatch, runner, mapped):
+    # four workers even on one CPU, so the threaded branch runs everywhere
+    monkeypatch.setattr(timedomain, "_usable_cpus", lambda: 4)
+    threads = set()
+    scale_map = timedomain._map_scales
+
+    def recording_map(stat, factors, n_opt):
+        def recorded(m):
+            threads.add(threading.current_thread())
+            return stat(m)
+        return scale_map(recorded, factors, n_opt)
+
+    monkeypatch.setattr(timedomain, "_map_scales", recording_map)
+
+    def outcome(floor, x):
+        monkeypatch.setattr(timedomain, "_THREADED_MIN_SAMPLES", floor)
+        try:
+            return runner(x).to_dict()
+        except HurstkitError as exc:  # raised in a worker for dfa and rs
+            return type(exc), str(exc)
+
+    workers = set()
+    for x in (gen_fgn(FgnSpec(0.7, 3000, 3)), rand_series(8, 3000),
+              np.full(3000, 2.0)):
+        threads.clear()
+        serial = outcome(10**12, x)
+        assert threads <= {threading.main_thread()}
+        assert outcome(0, x) == serial
+        workers |= threads - {threading.main_thread()}
+    assert bool(workers) is mapped
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # concurrent.futures imports logging: only a threaded scale map pays
+    code = ("import sys, hurstkit, hurstkit.cli; "
+            "assert 'concurrent.futures' not in sys.modules, 'imported'")
+    src = str(Path(hurstkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ is loaded from its source without importing the perfbench package.
 
 import collections
 import importlib
+import threading
 import types
 from pathlib import Path
 
 import pytest
 
-from hurstkit import harness
+from hurstkit import harness, timedomain
 from hurstkit.generators import FgnSpec, gen_fgn
 from hurstkit.results import METHODS
 
@@ -47,3 +48,26 @@ def test_tracer_records_every_estimator_span(tracing):
         collections.Counter(tracing.BODIES))
     for name, parent in bodies:
         assert tracer.spans[parent][0].startswith("harness.estimate_series."), name
+
+
+def test_traced_names_run_on_the_calling_thread(tracing, monkeypatch):
+    # the tracer keeps one span stack: with the scale map forced onto worker
+    # threads, every traced name must still be called from the main thread
+    monkeypatch.setattr(timedomain, "_THREADED_MIN_SAMPLES", 0)
+    monkeypatch.setattr(timedomain, "_usable_cpus", lambda: 4)
+    callers = []
+    for module_name, attr, _ in tracing.TARGETS:
+        module = importlib.import_module(module_name)
+
+        def recorder(*args, _original=getattr(module, attr), **kwargs):
+            callers.append(threading.current_thread())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recorder)
+
+    x = gen_fgn(FgnSpec(0.7, 3000, 1))
+    for method in ("am", "av", "dfa", "rs"):
+        for norm in (1, 2):
+            harness.estimate_series(x, method, norm=norm)
+    assert callers
+    assert set(callers) == {threading.main_thread()}

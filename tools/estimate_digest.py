@@ -16,13 +16,15 @@ their outputs agree line for line:
     diff before.txt after.txt
 
 The grid: fGn at H = 0.3, 0.5, 0.7, 0.8 with three seeds at N = 3e4; the six
-i.i.d. families at N = 1e4; fGn at N = 1e5; and the edge cases step, ramp,
-random walk, constant, arange % 7, fGn x 1e200 and a length of 2503, which
-leaves the partition search one window size at the default window; and
-i.i.d. normal series at FLOOR_LENGTHS, one below and at each method's
-minimum length (ghe 21, tta 41, awc/vvl 64, hm 65, pm/lw/lssd/lsv 100).
+i.i.d. families at N = 1e4; fGn at N = 1e5 and at N = 3e5, the one case long
+enough for am, av, dfa and rs to spread their window sizes over threads
+(timedomain._map_scales); the edge cases step, ramp, random walk, constant,
+arange % 7, fGn x 1e200 and a length of 2503, which leaves the partition
+search one window size at the default window; and i.i.d. normal series at
+FLOOR_LENGTHS, one below and at each method's minimum length (ghe 21, tta 41,
+awc/vvl 64, hm 65, pm/lw/lssd/lsv 100).
 Every case runs through all 13 methods under each option set of OPTIONS.
-It takes a few minutes on one core.
+It takes about nine minutes on one core, four of them in the N = 3e5 case.
 """
 
 import warnings
@@ -51,6 +53,7 @@ def cases():
     for name in DISTRIBUTIONS:
         yield f"iid-{name}-n10000", gen_iid(name, 10000, 7)
     yield "fgn-h0.7-s4-n100000", gen_fgn(FgnSpec(0.7, 100000, 4))
+    yield "fgn-h0.7-s5-n300000", gen_fgn(FgnSpec(0.7, 300000, 5))
     yield "step", np.r_[np.zeros(5000), np.ones(5000)]
     yield "ramp", np.arange(10000, dtype=float)
     yield "walk", np.cumsum(gen_iid("normal", 10000, 5))

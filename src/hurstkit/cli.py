@@ -15,7 +15,8 @@ import json
 import os
 import sys
 
-from .bench import run_fgn_suite, run_random_suite
+from .aggregation import DEFAULT_LSV_WEIGHT_P, DEFAULT_WEIGHT_P
+from .bench import DEFAULT_H_GRID, run_fgn_suite, run_random_suite
 from .errors import ArgumentError, DataError
 from .generators import FgnSpec
 from .harness import DEFAULTS, estimate_file, write_fgn
@@ -42,20 +43,22 @@ def parse_h_grid(text):
 
 
 def _add_estimator_flags(sub):
+    d = DEFAULTS
     sub.add_argument("--window", type=int, default=None,
-                     help="partition window w (default 50)")
+                     help=f"partition window w (default {d['window']})")
     sub.add_argument("--norm", type=int, choices=(1, 2), default=None,
                      help="regression norm: 1 robust, 2 least squares")
     sub.add_argument("--q-order", dest="q_order", type=float, default=None,
-                     help="moment order for ghe (default 1)")
+                     help=f"moment order for ghe (default {d['q_order']:g})")
     sub.add_argument("--cutoff", type=float, default=None,
-                     help="periodogram frequency cutoff (default 0.1)")
+                     help=f"periodogram frequency cutoff (default {d['cutoff']:g})")
     sub.add_argument("--weight-p", dest="weight_p", type=float, default=None,
-                     help="block-sum fit weight (default: 2 lssd, 6 lsv)")
+                     help=f"block-sum fit weight (default: {DEFAULT_WEIGHT_P:g} "
+                          f"lssd, {DEFAULT_LSV_WEIGHT_P:g} lsv)")
     sub.add_argument("--penalty-q", dest="penalty_q", type=float, default=None,
-                     help="penalty exponent for lssd/lsv (default 50)")
+                     help=f"penalty exponent for lssd/lsv (default {d['penalty_q']:g})")
     sub.add_argument("--epsilon", type=float, default=None,
-                     help="solver precision for lssd/lsv (default 1e-4)")
+                     help=f"solver precision for lssd/lsv (default {d['epsilon']:g})")
     sub.add_argument("--rs-corrected", dest="corrected", action="store_true",
                      default=None, help="apply the small-sample R/S correction")
 
@@ -86,11 +89,12 @@ def build_parser():
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
     bench.add_argument("suite", choices=("random", "fgn"))
-    bench.add_argument("--replicates", type=int, default=10)
+    bench.add_argument("--replicates", type=int, default=None)
     bench.add_argument("--length", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--h-grid", dest="h_grid", default="0.3:0.7:0.2",
-                       help="fgn targets as START:STOP:STEP (default 0.3:0.7:0.2)")
+    bench.add_argument("--seed", type=int, default=None)
+    grid = ", ".join(f"{h:g}" for h in DEFAULT_H_GRID)
+    bench.add_argument("--h-grid", dest="h_grid", default=None,
+                       help=f"fgn targets as START:STOP:STEP (default {grid})")
     bench.add_argument("--out", required=True, help="directory for the TSVs")
     _add_estimator_flags(bench)
 
@@ -116,31 +120,22 @@ def _cmd_gen_fgn(args):
 
 
 def _cmd_bench(args):
-    config = _config(args)
-    if args.suite == "random":
-        report = run_random_suite(
-            replicates=args.replicates,
-            length=args.length if args.length is not None else 10000,
-            seed=args.seed,
-            config=config,
-        )
-    else:
-        report = run_fgn_suite(
-            h_values=parse_h_grid(args.h_grid),
-            replicates=args.replicates,
-            length=args.length if args.length is not None else 30000,
-            seed=args.seed,
-            config=config,
-        )
+    # only the flags given: the suites' own signatures hold the defaults
+    runs = {k: getattr(args, k) for k in ("replicates", "length", "seed")
+            if getattr(args, k) is not None}
+    if args.h_grid is not None:
+        if args.suite != "fgn":
+            raise ArgumentError("--h-grid applies to the fgn suite only")
+        runs["h_values"] = parse_h_grid(args.h_grid)
+    suite = run_fgn_suite if args.suite == "fgn" else run_random_suite
+    report = suite(config=_config(args), **runs)
     os.makedirs(args.out, exist_ok=True)
-    matrix_path = os.path.join(args.out, f"{report.suite}_matrix.tsv")
-    long_path = os.path.join(args.out, f"{report.suite}_long.tsv")
-    with open(matrix_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_matrix_tsv())
-    with open(long_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_long_tsv())
-    print(matrix_path)
-    print(long_path)
+    for kind, text in (("matrix", report.to_matrix_tsv()),
+                       ("long", report.to_long_tsv())):
+        path = os.path.join(args.out, f"{report.suite}_{kind}.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(path)
     return 0
 
 
@@ -160,15 +155,12 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ArgumentError as exc:
+    except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

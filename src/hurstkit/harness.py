@@ -55,45 +55,44 @@ def _settings(overrides):
     return cfg
 
 
-# method -> (call, the option keys whose values it takes, in order).  The
-# calls look each estimator up by its name here when they run, so a wrapper
-# installed on that name (perfbench's tracer) sees every call.
-_BLOCK_KEYS = ("weight_p", "penalty_q", "epsilon")
+# method -> one call on the filled-in settings.  Each call looks its estimator
+# up by name here when it runs, so a wrapper installed on that name (perfbench's
+# tracer) sees every call and can read the positional `r`.
 _DISPATCH = {
-    "am": (lambda x, w, norm: est_central(x, w, 1, norm), ("window", "norm")),
-    "av": (lambda x, w, norm: est_central(x, w, 2, norm), ("window", "norm")),
-    "ghe": (lambda x, q, norm: est_ghe(x, q, norm), ("q_order", "norm")),
-    "hm": (lambda x, norm: est_higuchi(x, norm), ("norm",)),
-    "dfa": (lambda x, w, norm: est_dfa(x, w, norm), ("window", "norm")),
-    "rs": (lambda x, w, norm, corrected: est_rs(x, w, norm, corrected),
-           ("window", "norm", "corrected")),
-    "tta": (lambda x, norm: est_tta(x, norm), ("norm",)),
-    "pm": (lambda x, cutoff, norm: est_pm(x, cutoff, norm), ("cutoff", "norm")),
-    "awc": (lambda x, norm: est_dwt(x, 1, norm), ("norm",)),
-    "vvl": (lambda x, norm: est_dwt(x, 2, norm), ("norm",)),
-    "lw": (lambda x: est_lw(x), ()),
-    "lssd": (lambda x, p, q, eps: est_lssd(
-        x, DEFAULT_WEIGHT_P if p is None else p, q, eps), _BLOCK_KEYS),
-    "lsv": (lambda x, p, q, eps: est_lsv(
-        x, DEFAULT_LSV_WEIGHT_P if p is None else p, q, eps), _BLOCK_KEYS),
+    "am": lambda x, c: est_central(x, c["window"], 1, c["norm"]),
+    "av": lambda x, c: est_central(x, c["window"], 2, c["norm"]),
+    "ghe": lambda x, c: est_ghe(x, c["q_order"], c["norm"]),
+    "hm": lambda x, c: est_higuchi(x, c["norm"]),
+    "dfa": lambda x, c: est_dfa(x, c["window"], c["norm"]),
+    "rs": lambda x, c: est_rs(x, c["window"], c["norm"], c["corrected"]),
+    "tta": lambda x, c: est_tta(x, c["norm"]),
+    "pm": lambda x, c: est_pm(x, c["cutoff"], c["norm"]),
+    "awc": lambda x, c: est_dwt(x, 1, c["norm"]),
+    "vvl": lambda x, c: est_dwt(x, 2, c["norm"]),
+    "lw": lambda x, c: est_lw(x),
+    "lssd": lambda x, c: est_lssd(
+        x, DEFAULT_WEIGHT_P if c["weight_p"] is None else c["weight_p"],
+        c["penalty_q"], c["epsilon"]),
+    "lsv": lambda x, c: est_lsv(
+        x, DEFAULT_LSV_WEIGHT_P if c["weight_p"] is None else c["weight_p"],
+        c["penalty_q"], c["epsilon"]),
 }
 
 
 def estimate_series(x, method, **overrides):
     """Run one named estimator with defaults filled in.
 
-    Unset options fall back to: window 50, norm flag 2 (least squares),
-    q_order 1, cutoff 0.1, penalty_q 50, epsilon 1e-4, weight_p 2 for lssd
-    and 6 for lsv.
+    An unset option takes its value from ``DEFAULTS``; an unset ``weight_p``
+    takes the method's own, ``DEFAULT_WEIGHT_P`` for lssd and
+    ``DEFAULT_LSV_WEIGHT_P`` for lsv.
     """
     if method not in METHODS:
         raise ArgumentError(
             f"unknown method {method!r}; choose one of {', '.join(METHODS)}"
         )
     c = _settings(overrides)
-    call, keys = _DISPATCH[method]
     try:
-        return call(x, *(c[key] for key in keys))
+        return _DISPATCH[method](x, c)
     except HurstkitError as exc:
         exc.args = (f"{method}: {exc.args[0]}",) + exc.args[1:]
         raise

@@ -21,6 +21,7 @@ from hurstkit.errors import (
 )
 from hurstkit.generators import FgnSpec, gen_fgn, gen_iid
 from hurstkit.harness import (
+    DEFAULTS,
     estimate_file,
     estimate_series,
     read_series,
@@ -350,6 +351,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["bogus-command"]) == 1
     assert main(["bench", "fgn", "--h-grid", "junk",
                  "--out", str(tmp_path)]) == 1
+    assert main(["bench", "random", "--h-grid", "0.5",
+                 "--out", str(tmp_path)]) == 1
 
     # data problems -> 2
     bad = tmp_path / "bad.txt"
@@ -400,3 +403,27 @@ def test_cli_bench_fgn_small_grid(tmp_path, capsys):
     long_form = (out / "fgn_long.tsv").read_text().splitlines()
     assert long_form[2].startswith("label\tmethod")
     assert len(long_form) == 3 + 13
+
+
+@pytest.mark.parametrize("suite", ["random", "fgn"])
+def test_cli_bench_leaves_run_defaults_to_the_suite(suite, tmp_path, capsys,
+                                                    monkeypatch):
+    calls = []
+    report = run_random_suite(replicates=1, length=200, seed=1)
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return report
+
+    monkeypatch.setattr(hurstkit.cli, f"run_{suite}_suite", record)
+    assert main(["bench", suite, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == [{"config": {}}]
+    assert (tmp_path / "random_long.tsv").read_text() == report.to_long_tsv()
+
+
+def test_cli_help_reads_library_defaults(capsys, monkeypatch):
+    monkeypatch.setitem(DEFAULTS, "window", 37)
+    assert main(["estimate", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "partition window w (default 37)" in help_text

@@ -61,16 +61,24 @@ def _block_sum_std_profile(arr, m_max):
     their block edges from the running totals, then one row-wise std.  Above
     m = sqrt(N) many scales share each k, so the loop runs about 2*sqrt(N)
     times rather than m_max times, and no gather holds more than O(N) floats.
+    A scale alone in its group reads its edges as a strided view instead.
+    The std runs the ufuncs np.std(ddof=1) runs, in its order, so the
+    profile is bitwise the same without np.std's per-call overhead.
     """
     totals = np.concatenate([[0.0], np.cumsum(arr)])
-    ms = np.arange(1, m_max + 1)
-    ks = arr.size // ms
-    bounds = np.flatnonzero(np.diff(ks, prepend=-1, append=-1))
+    ks = arr.size // np.arange(1, m_max + 1)
+    bounds = np.flatnonzero(np.diff(ks, prepend=-1, append=-1)).tolist()
     out = np.empty(m_max)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        group = ms[lo:hi]
-        edges = totals[group[:, None] * np.arange(ks[lo] + 1)]
-        out[lo:hi] = np.std(np.diff(edges, axis=1), axis=1, ddof=1)
+        k = arr.size // hi  # scales lo+1 .. hi share it
+        if hi - lo == 1:
+            edges = totals[: k * hi + 1 : hi][None, :]
+        else:
+            edges = totals[np.arange(lo + 1, hi + 1)[:, None] * np.arange(k + 1)]
+        dev = edges[:, 1:] - edges[:, :-1]
+        dev -= np.add.reduce(dev, axis=1, keepdims=True) / k
+        np.square(dev, out=dev)
+        out[lo:hi] = np.sqrt(np.add.reduce(dev, axis=1) / (k - 1))
     return out
 
 

@@ -5,7 +5,9 @@ keys it understands and ignores the rest, so one CLI flag set can drive all
 thirteen estimators.
 """
 
+import io
 import math
+import warnings
 
 import numpy as np
 
@@ -103,26 +105,92 @@ def estimate_file(path, method, **overrides):
 
 
 def read_series(path):
-    """Load one finite decimal per line; '#' lines and blank lines skipped."""
+    """Load a series from a UTF-8 text file.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, and is blank, a comment
+    whose first non-blank character is ``#``, or one Python float literal
+    with blanks around it allowed.  A ``#`` after a number, a non-finite
+    value or a byte that is not UTF-8 raises ``SeriesParseError`` naming
+    the line; fewer than 2 values raise ``InsufficientDataError``.
+
+    A plain file is parsed in one ``np.loadtxt`` pass.  A file that pass
+    rejects or cannot judge goes to ``_scan_series``, the per-line scan that
+    defines the grammar and builds every error, so both give the same array.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    values = _load_plain(path, data)
+    return _scan_series(data, path) if values is None else values
+
+
+def _load_plain(path, data):
+    """The file as one column of at least 2 finite values, parsed by
+    loadtxt's C reader, or None.
+
+    Every field loadtxt parses, ``float`` parses to the same double, so the
+    result is the scan's once no ``#`` follows a number on its line (checked
+    on ``data``, the file's bytes) and the table passes the shape and
+    finiteness checks.  loadtxt gets an open handle, not the path: on a path
+    numpy unpacks ``.gz``, ``.bz2`` and ``.xz`` files by their suffix.
+    """
+    if not _comments_open_lines(data):
+        return None
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        # a file with no data rows makes loadtxt warn; the scan reports it
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            table = np.loadtxt(fh, ndmin=2)
+        except ValueError:  # a field float() may still take, a ragged row, bad UTF-8
+            return None
+    if table.shape[0] < 2 or table.shape[1] != 1 or not np.isfinite(table).all():
+        return None
+    return table.ravel()
+
+
+def _comments_open_lines(data):
+    """Whether every ``#`` in the bytes ``data`` is on a line whose first
+    non-blank character is a ``#``."""
+    if b"\r" in data:
+        data = data.replace(b"\r", b"\n")
+    pos = 0
+    while (at := data.find(b"#", pos)) >= 0:
+        if data[data.rfind(b"\n", pos, at) + 1 : at].strip():
+            return False
+        pos = data.find(b"\n", at)
+        if pos < 0:
+            break
+    return True
+
+
+def _scan_series(data, path):
+    """Parse the bytes ``data`` of the file ``path`` one line at a time."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n")
+        lineno = head.count(b"\n") + head.count(b"\r") + 1
+        raise SeriesParseError(
+            f"line {lineno}: byte {data[exc.start]:#04x} is not valid UTF-8",
+            line_number=lineno,
+        ) from None
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise SeriesParseError(
-                    f"line {lineno}: could not parse {line!r} as a number",
-                    line_number=lineno,
-                ) from None
-            if not math.isfinite(value):
-                raise SeriesParseError(
-                    f"line {lineno}: non-finite value {line!r}",
-                    line_number=lineno,
-                )
-            values.append(value)
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise SeriesParseError(
+                f"line {lineno}: could not parse {line!r} as a number",
+                line_number=lineno,
+            ) from None
+        if not math.isfinite(value):
+            raise SeriesParseError(
+                f"line {lineno}: non-finite value {line!r}",
+                line_number=lineno,
+            )
+        values.append(value)
     if len(values) < 2:
         raise InsufficientDataError(
             f"{path}: found {len(values)} values, need at least 2"

@@ -1,11 +1,15 @@
 """Tests for file I/O, the dispatcher, bench reports, and the CLI."""
 
+import gzip
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hurstkit
 from hurstkit.bench import relative_error, run_fgn_suite, run_random_suite
@@ -20,6 +24,7 @@ from hurstkit.errors import (
     SeriesParseError,
 )
 from hurstkit.generators import FgnSpec, gen_fgn, gen_iid
+import hurstkit.harness
 from hurstkit.harness import (
     DEFAULTS,
     estimate_file,
@@ -73,12 +78,150 @@ def test_read_series_rejects_nonfinite_and_short(tmp_path):
         read_series(empty)
 
 
+def oracle_read_series(path):
+    """read_series as it was before the loadtxt pass: one float() per line of
+    the file read as UTF-8 text."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise SeriesParseError(
+                    f"line {lineno}: could not parse {line!r} as a number",
+                    line_number=lineno,
+                ) from None
+            if not math.isfinite(value):
+                raise SeriesParseError(
+                    f"line {lineno}: non-finite value {line!r}",
+                    line_number=lineno,
+                )
+            values.append(value)
+    if len(values) < 2:
+        raise InsufficientDataError(
+            f"{path}: found {len(values)} values, need at least 2"
+        )
+    return np.array(values)
+
+
+def outcome(reader, path):
+    """The array's dtype, shape and bytes, or the error's type, text and
+    line number."""
+    try:
+        values = reader(path)
+    except (SeriesParseError, InsufficientDataError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return values.dtype, values.shape, values.tobytes()
+
+
+def fgn_text(n, seed):
+    body = "".join(f"{v:.17g}\n" for v in gen_fgn(FgnSpec(0.7, n, seed)))
+    return f"# fgn hurst=0.7 length={n} seed={seed}\n{body}"
+
+
+READER_CASES = {
+    "plain": fgn_text(500, 4),
+    "indented comments": "  # note\n1.0\n\t# more\n2.5\n",
+    "hash inside a comment": "# a # b\n1.0\n2.0\n# c#\n",
+    "crlf": "# h\r\n1.5\r\n-2.25\r\n3e-3\r\n",
+    "lone cr": "1.0\r2.0\r# c\r3.0",
+    "no trailing newline": "1.0\n2.0",
+    "blank lines": "\n  \n1.0\n\t\n2.0\n\n",
+    "unicode blanks": "\xa01.0\x85\n\x0c2.0\x0b\n\u2003# c\n",
+    "signs and forms": "+1\n-0\n.5\n5.\n1E3\n-1e-320\n",
+    "mid-line hash": "1.0\n2.0 # note\n3.0\n",
+    "mid-line hash, last line": "1.0\n2.0\n3.0#",
+    "two columns on one row": "1.0\n2.0 3.0\n4.0\n",
+    "two columns on every row": "1.0 2.0\n3.0 4.0\n5.0 6.0\n",
+    "one row of two columns": "1.0 2.0\n",
+    "ragged": "1.0 2.0\n3.0\n",
+    "underscore literal": "1_0\n2.0\n3.0\n",
+    "fullwidth digit": "\uff11\n2.0\n3.0\n",
+    "nan": "1.0\nnan\n2.0\n",
+    "inf": "1.0\n-inf\n2.0\n",
+    "overflow": "1.0\n1e400\n2.0\n",
+    "nan payload": "1.0\nnan(12)\n2.0\n",
+    "nul byte": "1.0\x00\n2.0\n",
+    "hex literal": "0x10\n2.0\n",
+    "word": "1.0\nabc\n3.0\n",
+    "utf-8 bom": "\ufeff1.0\n2.0\n",
+    "utf-8 bom before a comment": "\ufeff# h\n1.0\n2.0\n",
+    "empty": "",
+    "header only": "# fgn hurst=0.5 length=0 seed=1\n",
+    "one value": "# h\n1.0\n",
+}
+
+
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_read_series_matches_the_oracle(text, tmp_path):
+    path = tmp_path / "series.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_series, path) == outcome(oracle_read_series, path)
+
+
+_LINE_KINDS = st.one_of(
+    st.sampled_from(["", "  ", "\t", "# note", "  # a # b", "#", "nan", "-inf",
+                     "1e400", "1_0", "\uff11", "abc", "1.0 2.0", "3 # c"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t"]),
+              st.floats(-1e6, 1e6).map(str), st.sampled_from(["", " ", "\t"])),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(_LINE_KINDS, st.sampled_from(["\n", "\r\n", "\r"])),
+                max_size=12),
+       st.booleans())
+def test_read_series_matches_the_oracle_on_any_mix(tmp_path_factory, lines,
+                                                    trailing):
+    text = "".join(line + end for line, end in lines)
+    if not trailing and lines:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.getbasetemp() / "mix.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_series, path) == outcome(oracle_read_series, path)
+
+
+def test_read_series_parses_plain_files_in_one_pass(tmp_path, monkeypatch):
+    def no_scan(data, path):
+        raise AssertionError("plain file sent to the per-line scan")
+
+    monkeypatch.setattr(hurstkit.harness, "_scan_series", no_scan)
+    for name in ("plain", "indented comments", "crlf", "lone cr",
+                 "no trailing newline"):
+        path = tmp_path / "series.txt"
+        path.write_bytes(READER_CASES[name].encode("utf-8"))
+        assert read_series(path).size >= 2
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b"1.0\n2.0\n\xff\xfe3\n", 3),
+    (b"# caf\xe9\n1.0\n2.0\n", 1),
+    (b"1.0\r\n2.0\r\n\x80\r\n", 3),
+    (b"1.0\r2.0\r\r3\xe2\x82", 4),
+    (b"1.0\nabc\n\xff\n", 3),
+    (gzip.compress(b"1.0\n2.0\n3.0\n"), 1),
+])
+def test_read_series_names_the_line_of_a_non_utf8_byte(tmp_path, raw, line):
+    path = tmp_path / "series.txt.gz"
+    path.write_bytes(raw)
+    with pytest.raises(SeriesParseError) as err:
+        read_series(path)
+    assert err.value.line_number == line
+    assert str(err.value).startswith(f"line {line}: byte 0x")
+    assert "not valid UTF-8" in str(err.value)
+
+
 def test_write_fgn_round_trip_and_header(tmp_path):
     path = tmp_path / "fgn.txt"
     spec = FgnSpec(0.7, 500, 11)
     write_fgn(path, spec)
     series = read_series(path)
     assert series.size == 500
+    assert outcome(read_series, path) == outcome(oracle_read_series, path)
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "# fgn hurst=0.69999999999999996 length=500 seed=11"
 
@@ -358,6 +501,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0\noops\n")
     assert main(["estimate", "--input", str(bad), "--method", "ghe"]) == 2
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1.0\n2.0\n\xff\xfe3\n")
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(latin1), "--method", "ghe"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: byte 0xff is not valid UTF-8\n")
     const = tmp_path / "const.txt"
     const.write_text("5.0\n" * 500)
     assert main(["estimate", "--input", str(const), "--method", "ghe"]) == 2

@@ -13,9 +13,12 @@ no-op there, but the LSV objective mixes a scale-dependent data term
 (quartic in the input scale) with an absolute penalty H^{q+1}/(q+1);
 standardizing keeps the two terms on the intended footing for inputs of any
 magnitude.
+
+The two methods read the same profile of s_m, built once for both on a
+partition.PreparedSeries.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .errors import (
     SingularSystemError,
 )
 from .numerics import fixed_point_solve, loc_min_solve
-from .partition import as_series, demeaned, sample_std
+from .partition import as_series, demeaned, sample_std, shared
 from .results import build_result, live_scales
 
 DEFAULT_WEIGHT_P = 2.0
@@ -125,13 +128,24 @@ def fun_dm(m, n_total, hurst):
 
 @dataclass(frozen=True)
 class BlockSumContext:
-    """Everything the LSSD/LSV objective needs: length, weights, s_m stats."""
+    """Everything the LSSD/LSV objective needs: length, weights, s_m stats.
+
+    The fields after `stats` are the objectives' terms that do not depend
+    on H, computed once per context rather than once per solver step.
+    """
 
     length: int
     weight_p: float
     penalty_q: float
     scales: np.ndarray
     stats: np.ndarray
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    log_scales: np.ndarray = field(init=False, repr=False, compare=False)
+    log_stats: np.ndarray = field(init=False, repr=False, compare=False)
+    lssd_a11: float = field(init=False, repr=False, compare=False)
+    lssd_a12: float = field(init=False, repr=False, compare=False)
+    stats_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    lsv_b1: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=float).reshape(-1)
@@ -152,8 +166,21 @@ class BlockSumContext:
                 f"need weight p >= 0 and penalty q > 0, got "
                 f"p={self.weight_p}, q={self.penalty_q}"
             )
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "stats", stats)
+        weight = scales**self.weight_p
+        log_scales = np.log(scales)
+        stats_sq = stats**2
+        for name, value in (
+            ("scales", scales),
+            ("stats", stats),
+            ("weight", weight),
+            ("log_scales", log_scales),
+            ("log_stats", np.log(stats)),
+            ("lssd_a11", np.sum(1.0 / weight)),
+            ("lssd_a12", np.sum(log_scales / weight)),
+            ("stats_sq", stats_sq),
+            ("lsv_b1", np.sum(stats_sq**2 / weight)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def ctm_lssd(hurst, ctx):
@@ -163,15 +190,12 @@ def ctm_lssd(hurst, ctx):
     yields Phi as a ratio of accumulator combinations; its fixed point is
     the estimate.  Exactly invariant under rescaling all stats by c > 0.
     """
-    m = ctx.scales
-    weight = m**ctx.weight_p
-    log_m = np.log(m)
+    m, weight, log_m = ctx.scales, ctx.weight, ctx.log_scales
     d = fun_dm(m, ctx.length, hurst)
     c = fun_cm_lssd(m, ctx.length, hurst)
-    gap = np.log(ctx.stats) - np.log(c)
+    gap = ctx.log_stats - np.log(c)
 
-    a11 = np.sum(1.0 / weight)
-    a12 = np.sum(log_m / weight)
+    a11, a12 = ctx.lssd_a11, ctx.lssd_a12
     a21 = np.sum(d / weight)
     a22 = np.sum(d * log_m / weight)
     b1 = np.sum(gap / weight)
@@ -196,12 +220,10 @@ def fun_cm_lsv(m, n_total, hurst):
 
 def obj_fun_lsv(hurst, ctx):
     """The LSV objective Phi(H) = sum s^4/m^p - a12^2/a11 + H^{q+1}/(q+1)."""
-    m = ctx.scales
-    weight = m**ctx.weight_p
+    m, weight, s_sq = ctx.scales, ctx.weight, ctx.stats_sq
     c = fun_cm_lsv(m, ctx.length, hurst)
-    s_sq = ctx.stats**2
 
-    b1 = np.sum(s_sq**2 / weight)
+    b1 = ctx.lsv_b1
     a11 = np.sum(c**2 * m ** (4.0 * hurst) / weight)
     a12 = np.sum(c * m ** (2.0 * hurst) * s_sq / weight)
     if a11 == 0.0:
@@ -210,16 +232,23 @@ def obj_fun_lsv(hurst, ctx):
     return float(b1 - a12 * a12 / a11 + penalty)
 
 
-def _block_context(x, p, q):
-    arr = demeaned(x, 100)
+def _live_block_profile(arr):
+    """live_scales of s_m, m = 1..N//10, for the standardized series."""
     spread = sample_std(arr)
     if spread == 0.0:
         raise DegenerateSequenceError("constant series has no block dispersion")
     arr = arr / spread
 
     m_max = arr.size // 10
-    scales, stats, excluded = live_scales(
+    return live_scales(
         np.arange(1.0, m_max + 1.0), _block_sum_std_profile(arr, m_max)
+    )
+
+
+def _block_context(x, p, q):
+    arr = demeaned(x, 100)
+    scales, stats, excluded = shared(
+        x, "block_profile", lambda: _live_block_profile(arr)
     )
     ctx = BlockSumContext(arr.size, float(p), float(q), scales, stats)
     return ctx, excluded

@@ -5,6 +5,12 @@ by-method grid with paired per-replicate seeds (base + replicate index), and
 assemble a BenchReport that serializes to a deterministic matrix TSV
 (methods as columns) and a long-form TSV (one row per cell, plot-ready).
 A failing cell is marked and the suite carries on.
+
+Each path is drawn when its turn comes and wrapped once in a
+partition.PreparedSeries, so the thirteen methods share what they have in
+common (the demeaned series, partitions, profiles, the periodogram); the fGn
+suite computes one embedding per H for all its replicates.  Every estimate
+is bitwise the one a separate estimate_series call on the path gives.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, HurstkitError
-from .generators import DISTRIBUTIONS, gen_fgn, gen_iid
+# gen_fgn is not called here; perfbench traces the name
+from .generators import (  # noqa: F401
+    DISTRIBUTIONS,
+    FgnSpec,
+    _draw_fgn,
+    _embedding_amplitudes,
+    gen_fgn,
+    gen_iid,
+)
 from .harness import estimate_series
+from .partition import PreparedSeries
 from .results import METHODS
 
 DEFAULT_H_GRID = (0.3, 0.5, 0.7)
@@ -97,24 +112,37 @@ class BenchReport:
 
 
 def _run_cells(report, label, paths, h_true, config):
-    for method in METHODS:
-        estimates, failure = [], None
-        for x in paths:
+    """Append one row per method for the paths of one label.
+
+    Paths run one at a time through every method still live; a method's
+    first failure ends its cell, and the rows come out in METHODS order.
+    """
+    estimates = {method: [] for method in METHODS}
+    failures = {}
+    for x in paths:
+        prepared = PreparedSeries(x)
+        for method in METHODS:
+            if method in failures:
+                continue
             try:
-                estimates.append(estimate_series(x, method, **config).hurst)
+                result = estimate_series(prepared, method, **config)
             except HurstkitError as exc:
-                failure = type(exc).__name__
-                break
+                failures[method] = type(exc).__name__
+            else:
+                estimates[method].append(result.hurst)
+    for method in METHODS:
+        failure = failures.get(method)
         if failure:
             row = BenchCell(label, method, replicates=report.replicates,
                             seed_base=report.seed, error=failure)
         else:
-            mean = float(np.mean(estimates))
+            hursts = estimates[method]
+            mean = float(np.mean(hursts))
             row = BenchCell(
                 label,
                 method,
                 mean=mean,
-                std=float(np.std(estimates, ddof=1)) if len(estimates) > 1 else 0.0,
+                std=float(np.std(hursts, ddof=1)) if len(hursts) > 1 else 0.0,
                 rel_error=relative_error(mean, h_true),
                 replicates=report.replicates,
                 seed_base=report.seed,
@@ -128,22 +156,37 @@ def run_random_suite(replicates=10, length=10000, seed=42, config=None):
         raise ArgumentError(f"need at least 1 replicate, got {replicates}")
     report = BenchReport("random", length, replicates, seed)
     for dist in DISTRIBUTIONS:
-        paths = [gen_iid(dist, length, seed + i) for i in range(replicates)]
+        paths = (gen_iid(dist, length, seed + i) for i in range(replicates))
         _run_cells(report, dist, paths, WHITE_NOISE_H, config or {})
     return report
 
 
 def run_fgn_suite(h_values=DEFAULT_H_GRID, replicates=10, length=30000,
                   seed=42, config=None):
-    """Fractional-noise accuracy grid over the requested H values."""
+    """Fractional-noise accuracy grid over the requested H values.
+
+    Each H is labelled by ``f"{h:.4g}"``; two values with the same label
+    are an ArgumentError.
+    """
     if replicates < 1:
         raise ArgumentError(f"need at least 1 replicate, got {replicates}")
     h_values = [float(h) for h in h_values]
     for h in h_values:
         if not 0.0 < h < 1.0:
             raise ArgumentError(f"target H must lie in (0,1), got {h}")
-    report = BenchReport("fgn", length, replicates, seed)
+    labels = {}
     for h in h_values:
-        paths = [gen_fgn((h, length, seed + i)) for i in range(replicates)]
-        _run_cells(report, f"{h:.4g}", paths, h, config or {})
+        label = f"{h:.4g}"
+        if label in labels:
+            raise ArgumentError(
+                f"target H values {labels[label]} and {h} share the label "
+                f"{label}; give values that differ in 4 significant digits"
+            )
+        labels[label] = h
+    report = BenchReport("fgn", length, replicates, seed)
+    for label, h in labels.items():
+        specs = [FgnSpec(h, length, seed + i) for i in range(replicates)]
+        amp = _embedding_amplitudes(h, length)
+        paths = (_draw_fgn(spec, amp) for spec in specs)
+        _run_cells(report, label, paths, h, config or {})
     return report

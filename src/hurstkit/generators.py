@@ -5,6 +5,10 @@ embed the length-ell autocovariance in a 2*ell circulant, diagonalize it with
 one FFT, colour complex white noise by the eigenvalue square roots, and read
 the sample off a second FFT.  The output is exact in distribution -- no
 truncation or approximation beyond floating point.
+
+The embedding depends on (H, N) only and the noise on the seed only, so
+gen_fgn is two steps: _embedding_amplitudes, then _draw_fgn.  The fGn suite
+computes the amplitudes once per H and draws every replicate from them.
 """
 
 from dataclasses import dataclass
@@ -93,8 +97,12 @@ def gen_fgn(spec):
     """
     if not isinstance(spec, FgnSpec):
         spec = FgnSpec(*spec)
-    ell, hurst = spec.length, spec.hurst
+    return _draw_fgn(spec, _embedding_amplitudes(spec.hurst, spec.length))
 
+
+def _embedding_amplitudes(hurst, ell):
+    """Square roots of the 2*ell circulant eigenvalues; EmbeddingError if
+    one is negative beyond roundoff."""
     rho = fgn_autocorr(np.arange(ell, dtype=float), hurst)
     row = np.concatenate([rho, [0.0], rho[:0:-1]])  # even circulant row
     eig = np.fft.fft(row).real
@@ -104,8 +112,12 @@ def gen_fgn(spec):
             f"circulant embedding has negative eigenvalue {eig.min():.3e} "
             f"(hurst={hurst}, length={ell})"
         )
-    amp = np.sqrt(np.clip(eig, 0.0, None))
+    return np.sqrt(np.clip(eig, 0.0, None))
 
+
+def _draw_fgn(spec, amp):
+    """One path for `spec` from its embedding amplitudes `amp`."""
+    ell, hurst = spec.length, spec.hurst
     rng = _rng(spec.seed)
     m = rng.standard_normal(ell)
     n = rng.standard_normal(ell)

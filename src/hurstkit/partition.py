@@ -12,6 +12,10 @@ sieve: each d in [w, N//w] marks its multiples a in the candidate window that
 satisfy d*w <= a, and a bincount over the marks gives every candidate's
 count.  The marks number about (1-alpha)*N*ln(N/w^2) + N/w, so the search
 costs O(N) array work and no Python loop over candidates.
+
+A PreparedSeries lets several estimators share one input: `demeaned`
+validates and demeans it once, and `shared` keeps what the estimators build
+from it (a partition, a profile, a periodogram) for the next one to read.
 """
 
 from math import isqrt
@@ -38,6 +42,46 @@ def as_series(x):
     return arr
 
 
+class PreparedSeries:
+    """One input series that several estimators read in turn.
+
+    It holds the input as given and validates nothing when built: the first
+    estimator's `demeaned` call does that, so an invalid input raises inside
+    every estimator exactly as the plain array would.
+    """
+
+    __slots__ = ("source", "_cache")
+
+    def __init__(self, x):
+        self.source = x
+        self._cache = {}
+
+
+def shared(x, key, build):
+    """build(), kept under `key` on a PreparedSeries `x` and built only once.
+
+    On a plain array this is just build().  A kept value is made read-only
+    (arrays become read-only views, lists become tuples).  A build that
+    raises keeps nothing, so the next estimator raises the same error anew.
+    """
+    if not isinstance(x, PreparedSeries):
+        return build()
+    try:
+        return x._cache[key]
+    except KeyError:
+        value = x._cache[key] = _read_only(build())
+        return value
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value = value.view()  # the caller's own array keeps its flags
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        value = tuple(_read_only(item) for item in value)
+    return value
+
+
 def demeaned(x, min_length=2):
     """Validate with as_series, check the length floor, subtract the mean.
 
@@ -45,13 +89,16 @@ def demeaned(x, min_length=2):
     Their statistics are mean-free by construction, so demeaning changes
     nothing mathematically, but it makes shift invariance hold exactly in
     floating point whenever the shifted inputs demean to identical arrays.
+    A PreparedSeries is validated and demeaned once; the floor is checked on
+    every call.
     """
-    arr = as_series(x)
+    source = x.source if isinstance(x, PreparedSeries) else x
+    arr = shared(x, "series", lambda: as_series(source))
     if arr.size < min_length:
         raise InsufficientDataError(
             f"need at least {min_length} samples, got {arr.size}"
         )
-    return arr - arr.mean()
+    return shared(x, "demeaned", lambda: arr - arr.mean())
 
 
 def cumulative_bias(x):

@@ -1,17 +1,18 @@
 """Spectrum-domain Hurst estimators: periodogram, wavelet, full-band Whittle.
 
-pm and lw read one periodogram (_periodogram); every estimator here starts
-from partition.demeaned with a floor of 100 (pm, lw) or 64 (awc, vvl) samples.
+pm and lw read one periodogram (_periodogram), built once for both on a
+partition.PreparedSeries; every estimator here starts from
+partition.demeaned with a floor of 100 (pm, lw) or 64 (awc, vvl) samples.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError, CutoffTooSmallError, DegenerateSequenceError
 # as_series and linear_regr_solver are not called here; perfbench traces both
 from .numerics import linear_regr_solver, loc_min_solve  # noqa: F401
-from .partition import as_series, demeaned  # noqa: F401
+from .partition import as_series, demeaned, shared  # noqa: F401
 from .results import build_result, fit_result
 from .transforms import DB24_LOWPASS, HAAR_LOWPASS, dft, wavedec
 
@@ -24,8 +25,12 @@ _LW_TOL = 1e-8
 def _periodogram(x):
     """N and |X_j|^2 for j = 1..floor(N/2) of the demeaned series."""
     arr = demeaned(x, 100)
-    bins = dft(arr)[1 : arr.size // 2 + 1]
-    return arr.size, bins.real**2 + bins.imag**2
+
+    def power():
+        bins = dft(arr)[1 : arr.size // 2 + 1]
+        return bins.real**2 + bins.imag**2
+
+    return arr.size, shared(x, "periodogram", power)
 
 
 def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
@@ -81,10 +86,12 @@ def est_dwt(x, r=1, flag=2):
 
 @dataclass(frozen=True)
 class LwObjectiveData:
-    """Frequencies and periodogram powers feeding the Whittle objective."""
+    """Frequencies and periodogram powers feeding the Whittle objective,
+    with mean(ln f), the objective's H-invariant term, computed once."""
 
     frequencies: np.ndarray
     power: np.ndarray
+    mean_log_frequency: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freq = np.asarray(self.frequencies, dtype=float).reshape(-1)
@@ -99,6 +106,7 @@ class LwObjectiveData:
             raise ArgumentError("power values must be nonnegative")
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "power", pwr)
+        object.__setattr__(self, "mean_log_frequency", np.mean(np.log(freq)))
 
 
 def obj_fun_lw(hurst, data):
@@ -110,7 +118,7 @@ def obj_fun_lw(hurst, data):
     weighted = np.mean(f ** (2.0 * hurst - 1.0) * data.power)
     if weighted <= 0.0:
         raise DegenerateSequenceError("spectrum is identically zero")
-    return float(np.log(weighted) - (2.0 * hurst - 1.0) * np.mean(np.log(f)))
+    return float(np.log(weighted) - (2.0 * hurst - 1.0) * data.mean_log_frequency)
 
 
 def est_lw(x):

@@ -21,12 +21,15 @@ Every estimator starts from partition.demeaned, which also checks its
 minimum length, so shift invariance holds exactly in floating point whenever
 the shifted inputs demean to identical arrays.  am, av, dfa and rs then
 share one partition step (_partitioned), whose search needs w^2 samples,
-dfa and rs one rule for dropping zero-spread segments (_live_segments), and
-all but am and av end in results.fit_result.  Every one of them drops a
-scale whose statistic is 0 by the same rule, results.live_scales.  The window
-sizes of am, av, dfa (least squares) and rs are independent passes over the
-prefix, so _map_scales spreads them over up to four threads once the prefix
-is long enough to repay it; each scale is computed exactly as on one thread.
+ghe, hm and tta one profile (_profile), dfa and rs one rule for dropping
+zero-spread segments (_live_segments), and all but am and av end in
+results.fit_result.  On a partition.PreparedSeries the partition of each w
+and the profile are built once for all the estimators that read them.  Every
+one of them drops a scale whose statistic is 0 by the same rule,
+results.live_scales.  The window sizes of am, av, dfa (least squares) and rs
+are independent passes over the prefix, so _map_scales spreads them over up
+to four threads once the prefix is long enough to repay it; each scale is
+computed exactly as on one thread.
 """
 
 import math
@@ -48,6 +51,7 @@ from .partition import (  # noqa: F401
     demeaned,
     search_opt_seq_len,
     seq_partition,
+    shared,
 )
 from .results import build_result, fit_result, live_scales
 
@@ -101,13 +105,20 @@ def _partitioned(x, w):
     NoPartitionError naming the prefix and the window bound.
     """
     arr = demeaned(x)
-    n_opt, factors = search_opt_seq_len(arr.size, w)
+    n_opt, factors = shared(x, ("partition", w),
+                            lambda: search_opt_seq_len(arr.size, w))
     if len(factors) < 2:
         raise NoPartitionError(
             f"partition of the {n_opt}-sample prefix at w={w} leaves "
             f"{len(factors)} window size; need at least 2"
         )
     return arr, n_opt, factors
+
+
+def _profile(x, min_length):
+    """The cumulative-bias profile of the demeaned series (ghe, hm, tta)."""
+    arr = demeaned(x, min_length)
+    return shared(x, "profile", lambda: cumulative_bias(arr))
 
 
 def _live_segments(spread, m, cause):
@@ -200,7 +211,7 @@ def est_ghe(x, q=1.0, flag=2):
     """
     if not q > 0:
         raise ArgumentError(f"moment order q must be positive, got {q}")
-    y = cumulative_bias(demeaned(x, 21))
+    y = _profile(x, 21)
 
     lags = np.arange(1, 11)
     stats = np.array(
@@ -218,7 +229,7 @@ def _higuchi_lag(idx):
 
 def est_higuchi(x, flag=2):
     """Higuchi curve-length method: H = 2 + slope of ln L(m) vs ln m."""
-    y = cumulative_bias(demeaned(x, 65))
+    y = _profile(x, 65)
     n = y.size
 
     lags = np.array([_higuchi_lag(i) for i in range(1, 11)])
@@ -350,7 +361,7 @@ def est_tta(x, flag=2):
     difference there is still sensitive to the marginal shape of the input
     (heavy tails inflate it), which tilts the whole fit upward.
     """
-    y = cumulative_bias(demeaned(x, 41))
+    y = _profile(x, 41)
     n = y.size
 
     lags = np.arange(3, 13)

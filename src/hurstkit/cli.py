@@ -47,7 +47,7 @@ def _add_estimator_flags(sub):
     sub.add_argument("--window", type=int, default=None,
                      help=f"partition window w (default {d['window']})")
     sub.add_argument("--norm", type=int, choices=(1, 2), default=None,
-                     help="regression norm: 1 robust, 2 least squares")
+                     help="regression norm: 1 exact LAD, 2 least squares")
     sub.add_argument("--q-order", dest="q_order", type=float, default=None,
                      help=f"moment order for ghe (default {d['q_order']:g})")
     sub.add_argument("--cutoff", type=float, default=None,

@@ -20,11 +20,6 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 
-# IRLS knobs for the l1 path: residual smoothing and slope-change stop.
-_IRLS_DELTA = 1e-8
-_IRLS_SLOPE_TOL = 1e-9
-_IRLS_MAX_ITER = 200
-
 _FIXED_POINT_BUDGET = 10_000
 _BRENT_BUDGET = 500
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -63,19 +58,51 @@ def format_power_law_data(x, y):
     return A, np.log(ya)
 
 
-def _l1_objective(A, b, coef):
-    return float(np.sum(np.abs(b - A @ coef)))
+def lad_lines(t, z):
+    """Exact least-absolute-deviations lines z[i] ~ a[i] + b[i] * t; (a, b).
+
+    Every row of the 2-D float `z` shares `t` (two distinct values at least).
+    Pivot descent (Wesolowsky 1981): the best line through a data point p
+    has the lower weighted median of the slopes (z_j - z_p) / (t_j - t_p),
+    weights |t_j - t_p|.  A row starts at the point nearest median(t) and
+    pivots on each point of its line (residual within the rounding of its
+    terms) until none gives a better line or the fit is exact.  Tie rule: a
+    gain must beat the rounding, new < cost * (1 - m*eps) for m points, so a
+    flat optimum keeps the first optimal line met: the result is deterministic.
+    """
+    k, m = z.shape
+    eps = np.finfo(float).eps
+    a, b, cost = np.full((3, k), np.inf)
+    pivot = np.full(k, np.argmin(np.abs(t - np.median(t))))
+    todo = np.zeros((k, m), dtype=bool)  # points of the line still to try
+    live = np.arange(k)
+    while live.size:
+        p = pivot[live][:, None]
+        dt = t - t[p]
+        dz = z[live] - np.take_along_axis(z[live], p, axis=1)
+        slopes = dz / np.where(dt == 0.0, np.nan, dt)  # weight 0 where NaN
+        order = np.argsort(slopes, axis=1)
+        cum = np.cumsum(np.take_along_axis(np.abs(dt), order, axis=1), axis=1)
+        at = (cum < 0.5 * cum[:, -1:]).sum(axis=1, keepdims=True)
+        slope = np.take_along_axis(slopes, np.take_along_axis(order, at, 1), 1)
+        resid = np.abs(dz - slope * dt)
+        new = resid.sum(axis=1)
+        gain = new < cost[live] * (1.0 - m * eps)
+        rows = live[gain]
+        a[rows] = z[rows, pivot[rows]] - slope[gain, 0] * t[pivot[rows]]
+        b[rows], cost[rows] = slope[gain, 0], new[gain]
+        todo[rows] = (resid <= 2 * eps * (np.abs(dz) + np.abs(slope * dt)))[gain]
+        todo[live, p[:, 0]] = False
+        pivot[live] = np.argmax(todo[live], axis=1)
+        live = live[todo[live, pivot[live]] & (cost[live] > 0.0)]
+    return a, b
 
 
 def linear_regr_solver(A, b, flag):
-    """Fit b ~ A @ (intercept, slope) in the norm selected by `flag`.
+    """Fit b ~ A @ (intercept, slope), A = (1, t), in the flag-selected norm.
 
     flag=2 : ordinary least squares (Moore-Penrose via SVD).
-    flag=1 : least absolute deviations by iteratively reweighted least
-             squares, started from the l2 fit; weights 1/max(|r|, 1e-8),
-             stopping when the slope moves by < 1e-9.  The best iterate by
-             l1 objective is returned, so the result is never worse than
-             the l2 fit in the l1 sense.
+    flag=1 : the exact least-absolute-deviations line of lad_lines.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -86,25 +113,11 @@ def linear_regr_solver(A, b, flag):
     if np.ptp(A[:, 1]) == 0.0:
         raise RankDeficiencyError("all abscissae identical; slope is undetermined")
 
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     if flag == 2:
-        return RegressionFit(float(coef[0]), float(coef[1]), 2)
-
-    best = coef.copy()
-    best_obj = _l1_objective(A, b, coef)
-    for _ in range(_IRLS_MAX_ITER):
-        r = b - A @ coef
-        wgt = 1.0 / np.maximum(np.abs(r), _IRLS_DELTA)
-        sw = np.sqrt(wgt)
-        new, *_ = np.linalg.lstsq(A * sw[:, None], b * sw, rcond=None)
-        obj = _l1_objective(A, b, new)
-        if obj < best_obj:
-            best, best_obj = new.copy(), obj
-        if abs(new[1] - coef[1]) < _IRLS_SLOPE_TOL:
-            coef = new
-            break
-        coef = new
-    return RegressionFit(float(best[0]), float(best[1]), 1)
+        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
+    else:
+        coef = np.ravel(lad_lines(A[:, 1], b[None, :]))
+    return RegressionFit(float(coef[0]), float(coef[1]), int(flag))
 
 
 def fit_power_law(x, y, flag):

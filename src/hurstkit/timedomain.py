@@ -26,8 +26,8 @@ zero-spread segments (_live_segments), and all but am and av end in
 results.fit_result.  On a partition.PreparedSeries the partition of each w
 and the profile are built once for all the estimators that read them.  Every
 one of them drops a scale whose statistic is 0 by the same rule,
-results.live_scales.  The window sizes of am, av, dfa (least squares) and rs
-are independent passes over the prefix, so _map_scales spreads them over up
+results.live_scales.  The window sizes of am, av, dfa and rs are
+independent passes over the prefix, so _map_scales spreads them over up
 to four threads once the prefix is long enough to repay it; each scale is
 computed exactly as on one thread.
 """
@@ -43,7 +43,8 @@ from .errors import (
     DegenerateSequenceError,
     NoPartitionError,
 )
-from .numerics import fit_power_law, fixed_point_solve, linear_regr_solver
+from .numerics import fit_power_law, fixed_point_solve, lad_lines
+from .numerics import linear_regr_solver  # noqa: F401 -- perfbench traces it
 # as_series and seq_partition are not called here; perfbench traces both names
 from .partition import (  # noqa: F401
     as_series,
@@ -252,21 +253,18 @@ def _detrended_stds(segments, flag):
     tc.  The residual is formed explicitly rather than as sum z^2 - b^2 sum
     tc^2: that difference cancels on near-linear rows and can even come out
     negative, while the explicit residual of a row that detrends exactly is
-    exactly 0, which the zero-spread exclusion in est_dfa relies on.
+    exactly 0, which the zero-spread exclusion in est_dfa relies on.  For
+    flag 1 one lad_lines call fits the l1 lines of all rows.
     """
-    k, m = segments.shape
+    m = segments.shape[1]
     t = np.arange(1.0, m + 1.0)
     if flag == 2:
         tc = t - (m + 1) / 2.0
         resid = segments - segments.mean(axis=1, keepdims=True)
         resid -= ((resid @ tc) / (tc @ tc))[:, None] * tc
         return np.sqrt(np.einsum("ij,ij->i", resid, resid) / (m - 1))
-    design = np.column_stack([np.ones(m), t])
-    stds = np.empty(k)
-    for tau in range(k):
-        fit = linear_regr_solver(design, segments[tau], flag)
-        stds[tau] = (segments[tau] - (fit.intercept + fit.slope * t)).std(ddof=1)
-    return stds
+    a, b = lad_lines(t, segments)
+    return (segments - (a[:, None] + b[:, None] * t)).std(axis=1, ddof=1)
 
 
 def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
@@ -286,13 +284,7 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
         keep, dropped = _live_segments(stds, m, "detrends exactly")
         return float(stds[keep].mean()), dropped
 
-    if flag == 2:
-        pairs = _map_scales(scale_stat, factors, n_opt)
-    else:
-        # the IRLS row loop holds the GIL, and perfbench traces its
-        # linear_regr_solver calls on a single-threaded span stack
-        pairs = [scale_stat(m) for m in factors]
-    stats, dropped = zip(*pairs)
+    stats, dropped = zip(*_map_scales(scale_stat, factors, n_opt))
 
     return fit_result(
         "dfa", factors, stats, flag, {"window": w, "norm": flag},

@@ -1,7 +1,8 @@
 """Tests for the regression and scalar-solver primitives.
 
 The least-squares solver is checked against the normal equations, the
-least-absolute-deviations path against an exact linear-programming solution.
+least-absolute-deviations path against an exact linear-programming solution,
+also on inputs full of ties and on dfa's batched rows.
 """
 
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from hurstkit import estimate_series
 from hurstkit.errors import (
     ArgumentError,
     DomainError,
@@ -19,13 +21,17 @@ from hurstkit.errors import (
     RankDeficiencyError,
     UnderdeterminedSystemError,
 )
+from hurstkit.generators import FgnSpec, gen_fgn
 from hurstkit.numerics import (
     fit_power_law,
     fixed_point_solve,
     format_power_law_data,
+    lad_lines,
     linear_regr_solver,
     loc_min_solve,
 )
+from hurstkit.partition import cumulative_bias, search_opt_seq_len
+from hurstkit.timedomain import _detrended_stds
 
 
 def l1_obj(A, b, coef):
@@ -123,18 +129,66 @@ def test_l1_ignores_single_outlier():
     assert fit.norm_flag == 1
 
 
+def lad_cases(rng, n):
+    """(abscissa, values) pairs, the degenerate ones full of ties.
+
+    Continuous data; half-integer values; integer walks on integer
+    abscissae (collinear triples); walks in steps of 0.1 and one-decimal
+    values, whose collinear points compute unequal slopes; duplicate
+    abscissae.
+    """
+    t = np.log(rng.uniform(0.5, 10.0, n))
+    steps = rng.integers(-1, 2, n)
+    yield t, 1.3 + 0.4 * t + rng.standard_t(3, n) * 0.3
+    yield t, np.round(rng.normal(0.0, 3.0, n)) / 2.0
+    yield np.arange(1.0, n + 1.0), np.cumsum(steps).astype(float)
+    yield np.arange(1.0, n + 1.0), np.cumsum(steps) / 10.0
+    dup = np.r_[0.0, 4.0, rng.integers(0, 5, n - 2)].astype(float)
+    yield dup, rng.normal(size=n)
+    yield dup, np.round(rng.normal(size=n), 1)
+
+
 def test_l1_never_beaten_by_l2_and_close_to_exact():
     rng = np.random.default_rng(7)
     for _ in range(60):
-        n = int(rng.integers(5, 30))
-        A = np.column_stack([np.ones(n), np.log(rng.uniform(0.5, 10.0, n))])
-        b = 1.3 + 0.4 * A[:, 1] + rng.standard_t(3, n) * 0.3
-        f1 = linear_regr_solver(A, b, 1)
-        f2 = linear_regr_solver(A, b, 2)
-        o1 = l1_obj(A, b, [f1.intercept, f1.slope])
-        o2 = l1_obj(A, b, [f2.intercept, f2.slope])
-        assert o1 <= o2 + 1e-12
-        assert o1 <= exact_lad(A, b) * (1.0 + 1e-3) + 1e-9
+        for t, b in lad_cases(rng, int(rng.integers(5, 30))):
+            A = np.column_stack([np.ones(t.size), t])
+            f1 = linear_regr_solver(A, b, 1)
+            f2 = linear_regr_solver(A, b, 2)
+            o1 = l1_obj(A, b, [f1.intercept, f1.slope])
+            o2 = l1_obj(A, b, [f2.intercept, f2.slope])
+            assert o1 <= o2 + 1e-12
+            assert o1 <= exact_lad(A, b) * (1.0 + 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("source", ["fgn", "mod7"])
+def test_batched_lad_rows_match_single_rows_and_are_exact(source):
+    x = (gen_fgn(FgnSpec(0.7, 3000, 4)) if source == "fgn"
+         else (np.arange(3000) % 7).astype(float))
+    n_opt, factors = search_opt_seq_len(x.size, 10)
+    z = cumulative_bias(x - x.mean())[:n_opt]
+    for m in (factors[0], factors[len(factors) // 2], factors[-1]):
+        segments = z.reshape(n_opt // m, m)
+        t = np.arange(1.0, m + 1.0)
+        A = np.column_stack([np.ones(m), t])
+        stds = _detrended_stds(segments, 1)
+        for row in np.linspace(0, segments.shape[0] - 1, 4).astype(int):
+            (a,), (b,) = lad_lines(t, segments[row][None, :])
+            resid = segments[row] - (a + b * t)
+            assert stds[row] == resid.std(ddof=1)
+            obj = np.abs(resid).sum()
+            assert obj <= exact_lad(A, segments[row]) * (1.0 + 1e-12) + 1e-12
+
+
+def test_l1_estimates_move_less_than_rounding_under_a_one_ulp_shift():
+    # a flat l1 optimum must not let rounding pick a different line
+    x = gen_fgn(FgnSpec(0.7, 30000, 2))
+    y = np.nextafter(x, np.inf)
+    for method in ("am", "av", "ghe", "hm", "dfa", "rs", "tta", "pm", "awc",
+                   "vvl"):
+        h = estimate_series(x, method, norm=1).hurst
+        assert estimate_series(y, method, norm=1).hurst == pytest.approx(
+            h, rel=1e-12), method
 
 
 # -------------------------------------------------------------- fixed points

@@ -487,7 +487,7 @@ def test_tta_validation():
     [
         (lambda x: est_central(x, 50, 1, 2), True),
         (lambda x: est_central(x, 50, 2, 2), True),
-        (lambda x: est_dfa(x, 50, 1), False),  # IRLS stays serial
+        (lambda x: est_dfa(x, 50, 1), True),
         (lambda x: est_dfa(x, 50, 2), True),
         (lambda x: est_rs(x, 50, 2, False), True),
         (lambda x: est_rs(x, 50, 2, True), True),

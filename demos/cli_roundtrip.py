@@ -2,7 +2,8 @@
 
 Writes a fractional-noise file with `gen-fgn`, estimates it back with
 `estimate`, and runs a miniature `bench` — the same entry points the shell
-command `hurstkit` exposes.
+command `hurstkit` exposes.  The first `estimate` parses the file and keeps
+the array in the user's cache directory; the next two read it from there.
 """
 
 import json

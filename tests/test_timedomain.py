@@ -29,7 +29,7 @@ from hurstkit.errors import (
     InsufficientDataError,
 )
 from hurstkit.generators import FgnSpec, fgn_autocorr, gen_fgn
-from hurstkit.partition import cumulative_bias, search_opt_seq_len
+from hurstkit.partition import cumulative_bias, demeaned, search_opt_seq_len
 from hurstkit.timedomain import (
     _detrended_stds,
     _grand_mean_factor,
@@ -352,6 +352,15 @@ def test_dfa_exact_scale_degenerate_as_with_lstsq():
     assert not np.any(lstsq_detrended_stds(segments))
     with pytest.raises(DegenerateSequenceError, match="detrends exactly"):
         est_dfa(x, w=5)
+
+
+def test_dfa_flag1_two_point_rows_detrend_to_zero():
+    # the l1 line through two points fits both; its residual used to round
+    # to a nonzero std on 113 of these 15000 rows
+    z = cumulative_bias(demeaned(gen_fgn(FgnSpec(0.7, 30000, 5))))
+    stds = _detrended_stds(z.reshape(-1, 2), 1)
+    assert stds.shape == (15000,)
+    assert np.count_nonzero(stds) == 0
 
 
 def test_dfa_flag1_close_to_flag2_on_clean_data():

@@ -3,11 +3,11 @@
 An entry is the array ``read_series`` returned for a file, stored as
 ``<digest>.npy`` in ``$XDG_CACHE_HOME/hurstkit`` (``~/.cache/hurstkit`` when
 that variable is unset, empty or relative).  The digest is the SHA-256 of
-``_TAG`` followed by the file's bytes, so a file is parsed once per content,
-whatever its name or mtime.  The directory keeps the ``MAX_ENTRIES`` most
-recently used entries; deleting it clears the cache.  A cache that cannot be
-read or written costs the parse and nothing else: the array, the errors and
-their messages are ``read_series``'s.
+the reader's tag followed by the file's bytes, so a file is parsed once per
+content, whatever its name or mtime.  The directory keeps the
+``MAX_ENTRIES`` most recently used entries; deleting it clears the cache.  A
+cache that cannot be read or written costs the parse and nothing else: the
+array, the errors and their messages are ``read_series``'s.
 """
 
 import contextlib
@@ -18,12 +18,13 @@ import tempfile
 import numpy as np
 from numpy.lib.format import open_memmap, write_array
 
-from . import harness
+from . import __version__, harness
+from .harness import _parse_series
 
-# Names what read_series makes of a file's bytes.  Any change to what it
-# returns or rejects must bump this tag, so that no entry of the old reader
-# is read back.
-_TAG = b"hurstkit.read_series/1\0"
+# Bump for a change to what read_series returns or rejects that does not
+# edit harness.py; hurstkit's and numpy's versions and the source of
+# harness.py, which holds the reader, are in the tag as well.
+_FORMAT = b"hurstkit.read_series/1"
 MAX_ENTRIES = 16
 _CACHE_ERRORS = (OSError, ValueError, EOFError)
 
@@ -35,33 +36,32 @@ def cache_dir():
     return os.path.join(root, "hurstkit")
 
 
+def reader_tag():
+    """What the digest of a file's bytes starts with: it names the reader
+    that parsed them, so that no entry another reader stored is read back."""
+    with open(harness.__file__, "rb") as fh:
+        source = hashlib.sha256(fh.read()).hexdigest()
+    return b"\0".join([_FORMAT, __version__.encode(), np.__version__.encode(),
+                       source.encode(), b""])
+
+
 def read_series_cached(path):
     """``read_series(path)``, loaded from the cache if these bytes were
-    parsed before and stored there if not."""
-    try:
-        with open(path, "rb") as fh:
-            seen = _identity(os.fstat(fh.fileno()))
-            digest = hashlib.sha256(_TAG)
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-    except OSError:
-        return harness.read_series(path)  # raises the reader's own error
-    entry = os.path.join(cache_dir(), digest.hexdigest() + ".npy")
-    try:
-        return _load(entry)
-    except _CACHE_ERRORS:
-        pass
-    values = harness.read_series(path)
-    # bytes that changed after they were hashed would file this parse under
-    # the digest of other bytes
+    parsed before and stored there if not.  The file is read once: the
+    bytes hashed are the bytes parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    entry = None
     with contextlib.suppress(*_CACHE_ERRORS):
-        if _identity(os.stat(path)) == seen:
+        digest = hashlib.sha256(reader_tag())
+        digest.update(data)
+        entry = os.path.join(cache_dir(), digest.hexdigest() + ".npy")
+        return _load(entry)
+    values = _parse_series(data, path)
+    if entry is not None:
+        with contextlib.suppress(*_CACHE_ERRORS):
             _store(entry, values)
     return values
-
-
-def _identity(st):
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _load(entry):

@@ -113,33 +113,44 @@ def read_series(path):
     value or a byte that is not UTF-8 raises ``SeriesParseError`` naming
     the line; fewer than 2 values raise ``InsufficientDataError``.
 
-    A plain file is parsed in one ``np.loadtxt`` pass.  A file that pass
-    rejects or cannot judge goes to ``_scan_series``, the per-line scan that
-    defines the grammar and builds every error, so both give the same array.
+    The file is read once, so a pipe works as well as a regular file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    values = _load_plain(path, data)
+    return _parse_series(data, path)
+
+
+def _parse_series(data, path):
+    """``read_series`` of the file ``path`` whose bytes are ``data``.
+
+    A plain file is parsed in one ``np.loadtxt`` pass.  A file that pass
+    rejects or cannot judge goes to ``_scan_series``, the per-line scan that
+    defines the grammar and builds every error, so both give the same array.
+    Only ``data`` is parsed; ``path`` names the file in errors.
+    """
+    values = _load_plain(data)
     return _scan_series(data, path) if values is None else values
 
 
-def _load_plain(path, data):
-    """The file as one column of at least 2 finite values, parsed by
-    loadtxt's C reader, or None.
+def _load_plain(data):
+    """The bytes ``data`` as one column of at least 2 finite values, parsed
+    by loadtxt's C reader, or None.
 
     Every field loadtxt parses, ``float`` parses to the same double, so the
-    result is the scan's once no ``#`` follows a number on its line (checked
-    on ``data``, the file's bytes) and the table passes the shape and
-    finiteness checks.  loadtxt gets an open handle, not the path: on a path
-    numpy unpacks ``.gz``, ``.bz2`` and ``.xz`` files by their suffix.
+    result is the scan's once no ``#`` follows a number on its line and the
+    table passes the shape and finiteness checks.  loadtxt reads ``data``
+    through the same text layer as a file opened with ``encoding="utf-8"``:
+    decoded a chunk at a time, line ends ``\\r\\n`` and ``\\r`` read as
+    ``\\n``.
     """
     if not _comments_open_lines(data):
         return None
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+    with warnings.catch_warnings():
         # a file with no data rows makes loadtxt warn; the scan reports it
         warnings.simplefilter("ignore", UserWarning)
         try:
-            table = np.loadtxt(fh, ndmin=2)
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            table = np.loadtxt(text, ndmin=2)
         except ValueError:  # a field float() may still take, a ragged row, bad UTF-8
             return None
     if table.shape[0] < 2 or table.shape[1] != 1 or not np.isfinite(table).all():

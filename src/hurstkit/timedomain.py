@@ -254,18 +254,19 @@ def _detrended_stds(segments, flag):
     tc^2: that difference cancels on near-linear rows and can even come out
     negative, while the explicit residual of a row that detrends exactly is
     exactly 0, which the zero-spread exclusion in est_dfa relies on.  For
-    flag 1 one lad_lines call fits the l1 lines of all rows; a row of two
-    points, which its line passes through only up to rounding, gives 0.
+    flag 1 one lad_lines call fits the l1 lines of all rows.  A row of two
+    points, which either line passes through only up to rounding, gives 0
+    at both flags.
     """
     m = segments.shape[1]
+    if m == 2:
+        return np.zeros(segments.shape[0])
     t = np.arange(1.0, m + 1.0)
     if flag == 2:
         tc = t - (m + 1) / 2.0
         resid = segments - segments.mean(axis=1, keepdims=True)
         resid -= ((resid @ tc) / (tc @ tc))[:, None] * tc
         return np.sqrt(np.einsum("ij,ij->i", resid, resid) / (m - 1))
-    if m == 2:
-        return np.zeros(segments.shape[0])
     a, b = lad_lines(t, segments)
     return (segments - (a[:, None] + b[:, None] * t)).std(axis=1, ddof=1)
 

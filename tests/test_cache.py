@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,17 +33,19 @@ def series(tmp_path_factory):
 def parses(monkeypatch):
     """The paths read_series parses from now on."""
     seen = []
+    parse = _cache._parse_series
 
-    def counting(path):
+    def counting(data, path):
         seen.append(path)
-        return read_series(path)
+        return parse(data, path)
 
-    monkeypatch.setattr(hurstkit.harness, "read_series", counting)
+    monkeypatch.setattr(_cache, "_parse_series", counting)
     return seen
 
 
 def entry_of(path):
-    digest = hashlib.sha256(_cache._TAG + Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256(_cache.reader_tag()
+                            + Path(path).read_bytes()).hexdigest()
     return Path(_cache.cache_dir()) / f"{digest}.npy"
 
 
@@ -240,23 +243,70 @@ def test_directory_keeps_the_newest_sixteen(tmp_path, capsys):
     assert entry_of(paths[0]).name in cache_files()
 
 
-def test_file_changed_while_parsed_is_not_stored(series, tmp_path, monkeypatch,
-                                                 capsys):
-    path = tmp_path / "moving.txt"
-    path.write_bytes(series.read_bytes())
-    other = tmp_path / "other.txt"
-    write_fgn(other, FgnSpec(0.3, 4000, 8))
+def piped(data):
+    """A path that reads ``data`` through a pipe once: a second open of it
+    finds the pipe drained and its writer gone, so it reads no bytes."""
+    read_end, write_end = os.pipe()
 
-    def rewritten_first(p):
-        os.replace(other, path)
-        return read_series(p)
+    def write():
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+    writer = threading.Thread(target=write)
+    writer.start()
+    return f"/dev/fd/{read_end}", writer, read_end
 
-    monkeypatch.setattr(hurstkit.harness, "read_series", rewritten_first)
-    code, out, _ = estimate(capsys, path)
-    assert code == 0
-    assert out == json.dumps(estimate_series(read_series(path),
-                                             "ghe").to_dict()) + "\n"
-    assert cache_files() == []
+
+def test_a_pipe_is_read_once(series, parses, capsys):
+    expected = json.dumps(estimate_series(read_series(series), "ghe").to_dict())
+    paths = []
+    for _ in range(2):  # a miss, then a hit on the entry the miss stored
+        path, writer, fd = piped(series.read_bytes())
+        assert estimate(capsys, path) == (0, expected + "\n", "")
+        writer.join()
+        os.close(fd)
+        paths.append(path)
+    assert parses == paths[:1]
+    assert np.array_equal(np.load(entry_of(series)), read_series(series))
+
+
+def test_read_series_reads_a_pipe_once(series):
+    path, writer, fd = piped(series.read_bytes())
+    assert np.array_equal(read_series(path), read_series(series))
+    writer.join()
+    os.close(fd)
+
+
+def test_estimate_reads_standard_input(series):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    args = [sys.executable, "-m", "hurstkit.cli", "estimate", "--input",
+            "/dev/stdin", "--method", "lw"]
+    expected = json.dumps(
+        estimate_series(read_series(series), "lw").to_dict()) + "\n"
+    for _ in range(2):  # a miss, then a hit
+        run = subprocess.run(args, env=env, input=series.read_bytes(),
+                             capture_output=True)
+        assert (run.returncode, run.stdout.decode(), run.stderr) == (
+            0, expected, b"")
+    assert entry_of(series).exists()
+
+
+def test_another_reader_is_a_miss(series, tmp_path, monkeypatch, parses,
+                                  capsys):
+    cold = estimate(capsys, series)
+    tag = _cache.reader_tag()
+    monkeypatch.setattr(_cache, "__version__", "0.0.0")
+    assert _cache.reader_tag() != tag
+    assert estimate(capsys, series) == cold
+    assert len(parses) == 2
+    monkeypatch.undo()
+    # an edit to the reader's source, the version left as it is
+    edited = tmp_path / "harness.py"
+    edited.write_bytes(Path(hurstkit.harness.__file__).read_bytes() + b"\n")
+    monkeypatch.setattr(hurstkit.harness, "__file__", str(edited))
+    assert _cache.reader_tag() != tag
+    monkeypatch.undo()
+    assert _cache.reader_tag() == tag
 
 
 @pytest.mark.parametrize("value", [None, "", "relative/cache"])

@@ -354,13 +354,20 @@ def test_dfa_exact_scale_degenerate_as_with_lstsq():
         est_dfa(x, w=5)
 
 
-def test_dfa_flag1_two_point_rows_detrend_to_zero():
-    # the l1 line through two points fits both; its residual used to round
-    # to a nonzero std on 113 of these 15000 rows
+@pytest.mark.parametrize("flag", [1, 2])
+def test_dfa_two_point_rows_detrend_to_zero(flag):
+    # a line through two points fits both; its residual used to round to a
+    # nonzero std on 113 (flag 1) and 7549 (flag 2) of these 15000 rows
     z = cumulative_bias(demeaned(gen_fgn(FgnSpec(0.7, 30000, 5))))
-    stds = _detrended_stds(z.reshape(-1, 2), 1)
+    stds = _detrended_stds(z.reshape(-1, 2), flag)
     assert stds.shape == (15000,)
     assert np.count_nonzero(stds) == 0
+
+
+@pytest.mark.parametrize("flag", [1, 2])
+def test_dfa_window_two_is_degenerate_at_both_norms(flag):
+    with pytest.raises(DegenerateSequenceError):
+        est_dfa(gen_fgn(FgnSpec(0.7, 3000, 5)), w=2, flag=flag)
 
 
 def test_dfa_flag1_close_to_flag2_on_clean_data():

@@ -1,16 +1,21 @@
 """Tests for the noise generators.
 
 The FGN sampler is checked distribution-level against the target
-autocovariance (many short paths), plus exact determinism per seed.
+autocovariance (many short paths), plus exact determinism per seed, and
+path by path against the full complex-FFT construction it replaced.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hurstkit.errors import ArgumentError
+from hurstkit.errors import ArgumentError, EmbeddingError
 from hurstkit.generators import (
     DISTRIBUTIONS,
     FgnSpec,
+    _embedding_amplitudes,
+    _rng,
     fgn_autocorr,
     gen_fgn,
     gen_iid,
@@ -56,6 +61,24 @@ def test_generator_length_validation():
         gen_iid("normal", 0, 1)
 
 
+@pytest.mark.parametrize("length, seed, field", [
+    (10.0, 1, "length"),
+    (10, 1.5, "seed"),
+    ("10", 1, "length"),
+    (10, -1, "seed"),
+])
+def test_gen_iid_names_a_bad_count(length, seed, field):
+    with pytest.raises(ArgumentError, match=field):
+        gen_iid("normal", length, seed)
+
+
+def test_generators_take_numpy_integers():
+    assert np.array_equal(gen_iid("normal", np.int64(50), np.uint32(3)),
+                          gen_iid("normal", 50, 3))
+    assert np.array_equal(gen_fgn(FgnSpec(0.7, np.int32(50), np.int64(3))),
+                          gen_fgn(FgnSpec(0.7, 50, 3)))
+
+
 # ---------------------------------------------------------------- FGN basics
 
 
@@ -69,6 +92,17 @@ def test_fgn_spec_validation():
         FgnSpec(0.5, 1, 0)
     with pytest.raises(ArgumentError):
         FgnSpec(0.5, 100, -3)
+
+
+@pytest.mark.parametrize("length, seed, field", [
+    (3000.0, 1, "length"),
+    (3000, 1.5, "seed"),
+    (3000, 1.0, "seed"),
+    (None, 1, "length"),
+])
+def test_fgn_spec_names_a_non_integral_count(length, seed, field):
+    with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
+        FgnSpec(0.7, length, seed)
 
 
 def test_autocorr_frozen_values():
@@ -101,6 +135,80 @@ def test_gen_fgn_deterministic_and_accepts_tuple():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (1000,)
+
+
+# ----------------------------------------- FGN against the complex-FFT oracle
+
+
+def _complex_fgn(spec):
+    """(amplitudes, path) by the full-length complex construction: one
+    complex FFT of the 2*ell even row for the eigenvalues, the whole
+    Hermitian noise vector written out, one complex FFT for the path."""
+    ell, hurst = spec.length, spec.hurst
+    rho = fgn_autocorr(np.arange(ell, dtype=float), hurst)
+    row = np.concatenate([rho, [0.0], rho[:0:-1]])
+    eig = np.fft.fft(row).real
+    if eig.min() < -1e-9 * eig.max():
+        raise EmbeddingError(f"negative eigenvalue {eig.min():.3e}")
+    amp = np.sqrt(np.clip(eig, 0.0, None))
+
+    rng = _rng(spec.seed)
+    m = rng.standard_normal(ell)
+    n = rng.standard_normal(ell)
+    w = np.empty(2 * ell, dtype=complex)
+    half = 1.0 / np.sqrt(4.0 * ell)
+    w[0] = amp[0] / np.sqrt(2.0 * ell) * m[0]
+    w[1:ell] = amp[1:ell] * half * (m[1:] + 1j * n[1:])
+    w[ell] = amp[ell] / np.sqrt(2.0 * ell) * n[0]
+    w[ell + 1 :] = amp[1:ell][::-1] * half * (m[1:][::-1] - 1j * n[1:][::-1])
+    return amp, float(ell) ** (-hurst) * np.fft.fft(w).real[:ell]
+
+
+ORACLE_GRID = [(h, ell) for h in (0.3, 0.5, 0.7, 0.9) for ell in (2, 3, 1000, 30001)]
+
+
+@pytest.mark.parametrize("hurst, ell", ORACLE_GRID)
+def test_gen_fgn_matches_complex_oracle(hurst, ell):
+    spec = FgnSpec(hurst, ell, 11)
+    try:
+        amp_ref, path_ref = _complex_fgn(spec)
+    except EmbeddingError:
+        with pytest.raises(EmbeddingError, match="negative eigenvalue"):
+            gen_fgn(spec)
+        return
+    amp = _embedding_amplitudes(hurst, ell)
+    assert amp.shape == (ell + 1,)
+    assert amp.flags.c_contiguous and amp.flags.owndata
+    assert np.abs(amp - amp_ref[: ell + 1]).max() <= 1e-12 * amp_ref.max()
+    path = gen_fgn(spec)
+    assert np.abs(path - path_ref).max() <= 1e-13 * float(ell) ** (-hurst)
+
+
+@pytest.mark.parametrize("ell", [1000, 30000])
+def test_gen_fgn_embedding_fails_at_h092(ell):
+    with pytest.raises(EmbeddingError, match="negative eigenvalue"):
+        gen_fgn(FgnSpec(0.92, ell, 1))
+
+
+def test_gen_fgn_path_owns_its_samples():
+    x = gen_fgn(FgnSpec(0.7, 1001, 3))
+    assert x.flags.owndata and x.base is None
+    assert x.nbytes == 8 * 1001
+
+
+def test_gen_fgn_peak_memory():
+    # about five float arrays of the path's length at the peak; the
+    # complex construction above peaks at 13
+    ell = 2**17
+    spec = FgnSpec(0.7, ell, 1)
+    gen_fgn(spec)  # the FFT plans and the generator's tables, once
+    tracemalloc.start()
+    try:
+        gen_fgn(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * ell
 
 
 # ----------------------------------------------- FGN distributional fidelity

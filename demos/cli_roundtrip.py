@@ -2,17 +2,20 @@
 
 Writes a fractional-noise file with `gen-fgn`, estimates it back with
 `estimate`, and runs a miniature `bench` — the same entry points the shell
-command `hurstkit` exposes.  The first `estimate` parses the file and keeps
-the array in the user's cache directory; the next two read it from there.
+command `hurstkit` exposes.  `estimate` keeps parsed series under
+$XDG_CACHE_HOME/hurstkit, which the demo points into its temp directory, so
+the user's own cache is left alone: the first `estimate` parses the file and
+stores the array there, and the next two read it back.
 """
 
-import json
+import os
 import tempfile
 from pathlib import Path
 
 from hurstkit.cli import main
 
 with tempfile.TemporaryDirectory() as tmp:
+    os.environ["XDG_CACHE_HOME"] = str(Path(tmp) / "cache")
     series = str(Path(tmp) / "path.txt")
     outdir = str(Path(tmp) / "bench")
 
@@ -25,6 +28,8 @@ with tempfile.TemporaryDirectory() as tmp:
     for method in ("dfa", "lw", "lssd"):
         print(f"$ hurstkit estimate --input path.txt --method {method}")
         assert main(["estimate", "--input", series, "--method", method]) == 0
+    entries = list((Path(tmp) / "cache" / "hurstkit").glob("*.npy"))
+    print(f"  the cache holds {len(entries)} parsed series for the three calls")
 
     print("\n$ hurstkit bench fgn --replicates 3 --length 5000 --out bench/")
     assert main(["bench", "fgn", "--replicates", "3", "--length", "5000",

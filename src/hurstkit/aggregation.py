@@ -91,12 +91,7 @@ def clip_hurst(hurst):
 
 
 def _u_ratio(m, n_total):
-    u = np.asarray(n_total / np.asarray(m, dtype=float))
-    if np.any(u <= 1.0):
-        raise ArgumentError(
-            f"block size must be smaller than the sequence length {n_total}"
-        )
-    return u
+    return np.asarray(n_total / np.asarray(m, dtype=float))
 
 
 def fun_cm_lssd(m, n_total, hurst):
@@ -150,22 +145,6 @@ class BlockSumContext:
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=float).reshape(-1)
         stats = np.asarray(self.stats, dtype=float).reshape(-1)
-        if scales.size != stats.size or scales.size == 0:
-            raise ArgumentError(
-                f"need matching non-empty scale/stat vectors, got "
-                f"{scales.size} and {stats.size}"
-            )
-        if np.any(scales < 1) or np.any(np.diff(scales) <= 0):
-            raise ArgumentError("scales must be increasing integers >= 1")
-        if scales[-1] >= self.length:
-            raise ArgumentError("scales must stay below the sequence length")
-        if np.any(stats <= 0):
-            raise ArgumentError("retained stats must be strictly positive")
-        if self.weight_p < 0 or self.penalty_q <= 0:
-            raise ArgumentError(
-                f"need weight p >= 0 and penalty q > 0, got "
-                f"p={self.weight_p}, q={self.penalty_q}"
-            )
         weight = scales**self.weight_p
         log_scales = np.log(scales)
         stats_sq = stats**2

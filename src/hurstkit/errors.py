@@ -31,14 +31,6 @@ class DomainError(DataError):
     statistic); the message names the offending index."""
 
 
-class UnderdeterminedSystemError(DataError):
-    """Fewer data points than unknowns in a fit."""
-
-
-class RankDeficiencyError(DataError):
-    """Design matrix has no unique solution (all abscissae identical)."""
-
-
 class DegenerateSequenceError(DataError):
     """A statistic the estimator must take a logarithm of collapsed to zero
     (constant input, all-equal segment means, zero-variance segments, ...)."""

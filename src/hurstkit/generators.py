@@ -14,6 +14,8 @@ gen_fgn is two steps: _embedding_amplitudes, then _draw_fgn.  The fGn suite
 computes the amplitudes once per H and draws every replicate from them.
 """
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -37,16 +39,17 @@ class FgnSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise ArgumentError(f"hurst must lie in (0, 1), got {self.hurst}")
+        _check_real("hurst", self.hurst, lambda h: 0.0 < h < 1.0, "in (0, 1)")
         _check_count("length", self.length, 2)
         _check_count("seed", self.seed, 0)
 
 
 def _check_count(field, value, low):
     """ArgumentError naming `field` unless `value` is an integer >= `low`;
-    Python ints and numpy integers pass, floats do not, even integral ones."""
+    ints and numpy integers pass, bools and floats (integral or not) do not."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ArgumentError(
@@ -54,6 +57,16 @@ def _check_count(field, value, low):
         ) from None
     if value < low:
         raise ArgumentError(f"{field} must be >= {low}, got {value}")
+
+
+def _check_real(field, value, ok, bounds):
+    """ArgumentError naming `field` unless `value` is a finite real number
+    (not a bool) that ok(value) accepts; `bounds` says which ones it does."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ArgumentError(f"{field} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and ok(value)):
+        raise ArgumentError(
+            f"{field} must be a finite number {bounds}, got {value}")
 
 
 def _rng(seed):

@@ -2,7 +2,7 @@
 
 The dispatcher accepts a single flat keyword config; each method picks the
 keys it understands and ignores the rest, so one CLI flag set can drive all
-thirteen estimators.
+thirteen estimators.  Every option is checked before any estimator runs.
 """
 
 import io
@@ -20,7 +20,7 @@ from .aggregation import (
     est_lsv,
 )
 from .errors import ArgumentError, HurstkitError, InsufficientDataError, SeriesParseError
-from .generators import FgnSpec, gen_fgn
+from .generators import FgnSpec, _check_count, _check_real, gen_fgn
 from .results import METHODS
 from .spectral import DEFAULT_CUTOFF, est_dwt, est_lw, est_pm
 from .timedomain import (
@@ -45,7 +45,31 @@ DEFAULTS = {
 }
 
 
+def _check_flag(key, value):
+    if not isinstance(value, (bool, np.bool_)):
+        raise ArgumentError(f"{key} must be True or False, got {value!r}")
+
+
+def _real(ok, bounds):
+    return lambda key, value: _check_real(key, value, ok, bounds)
+
+
+# option -> its check, which raises an ArgumentError naming the option
+_RULES = {
+    "window": lambda key, value: _check_count(key, value, 2),
+    "norm": _real(lambda v: v in (1, 2), "equal to 1 or 2"),
+    "q_order": _real(lambda v: v > 0, "> 0"),
+    "cutoff": _real(lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
+    "weight_p": _real(lambda v: v >= 0, ">= 0"),
+    "penalty_q": _real(lambda v: v > 0, "> 0"),
+    "epsilon": _real(lambda v: v > 0, "> 0"),
+    "corrected": _check_flag,
+}
+
+
 def _settings(overrides):
+    """DEFAULTS with the non-None `overrides` put in, each checked by its
+    rule: the one place an option is checked, before any estimator runs."""
     cfg = dict(DEFAULTS)
     for key, value in overrides.items():
         if key not in DEFAULTS:
@@ -53,6 +77,7 @@ def _settings(overrides):
                 f"unknown option {key!r}; valid options: {', '.join(DEFAULTS)}"
             )
         if value is not None:
+            _RULES[key](key, value)
             cfg[key] = value
     return cfg
 
@@ -82,7 +107,7 @@ _DISPATCH = {
 
 
 def estimate_series(x, method, **overrides):
-    """Run one named estimator with defaults filled in.
+    """Run one named estimator with defaults filled in, every option checked.
 
     An unset option takes its value from ``DEFAULTS``; an unset ``weight_p``
     takes the method's own, ``DEFAULT_WEIGHT_P`` for lssd and

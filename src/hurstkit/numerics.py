@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DomainError,
-    NonConvergenceError,
-    RankDeficiencyError,
-    UnderdeterminedSystemError,
-)
+from .errors import DomainError, NonConvergenceError
 
 _FIXED_POINT_BUDGET = 10_000
 _BRENT_BUDGET = 500
@@ -37,16 +31,10 @@ def format_power_law_data(x, y):
 
     Returns (A, b) with rows A_i = (1, ln x_i) and b_i = ln y_i.  Any
     non-finite or non-positive entry is a domain error naming the (1-based)
-    offending index; fewer than two pairs cannot determine a line.
+    offending index.  `x` and `y` hold two or more pairs, not all x equal.
     """
     xa = np.asarray(x, dtype=float).reshape(-1)
     ya = np.asarray(y, dtype=float).reshape(-1)
-    if xa.size != ya.size:
-        raise ArgumentError(f"length mismatch: {xa.size} vs {ya.size}")
-    if xa.size < 2:
-        raise UnderdeterminedSystemError(
-            f"need >= 2 pairs to fit a power law, got {xa.size}"
-        )
     for name, v in (("x", xa), ("y", ya)):
         bad = np.flatnonzero(~(np.isfinite(v) & (v > 0)))
         if bad.size:
@@ -99,20 +87,14 @@ def lad_lines(t, z):
 
 
 def linear_regr_solver(A, b, flag):
-    """Fit b ~ A @ (intercept, slope), A = (1, t), in the flag-selected norm.
+    """Fit b ~ A @ (intercept, slope), A = (1, t), in the flag-selected norm;
+    t takes two distinct values at least.
 
     flag=2 : ordinary least squares (Moore-Penrose via SVD).
     flag=1 : the exact least-absolute-deviations line of lad_lines.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
-    if A.ndim != 2 or A.shape[1] != 2 or A.shape[0] != b.size:
-        raise ArgumentError(f"expected (n, 2) design and length-n rhs, got {A.shape}")
-    if flag not in (1, 2):
-        raise ArgumentError(f"norm flag must be 1 or 2, got {flag!r}")
-    if np.ptp(A[:, 1]) == 0.0:
-        raise RankDeficiencyError("all abscissae identical; slope is undetermined")
-
     if flag == 2:
         coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     else:
@@ -144,14 +126,12 @@ def _update(updater, guess, params, previous):
 
 def fixed_point_solve(updater, x0, eps, params=()):
     """Iterate x <- updater(x, *params) until successive iterates are closer
-    than `eps`; returns the last iterate.
+    than `eps` (> 0); returns the last iterate.
 
     A budget of 10^4 steps guards divergence; blowing it, an iterate that
     is NaN or inf, or an overflow inside the update raises
     NonConvergenceError carrying the last two iterates.
     """
-    if eps <= 0:
-        raise ArgumentError(f"need eps > 0, got {eps}")
     guess = float(x0)
     improved = _update(updater, guess, params, None)
     steps = 1
@@ -178,18 +158,11 @@ def loc_min_solve(f, lo, hi, tol, params=()):
     """Brent's minimizer on [lo, hi]: golden-section bracketing with
     successive parabolic interpolation; never evaluates outside the interval.
 
-    `tol` is the absolute positioning tolerance; the effective tolerance also
-    includes a sqrt(machine-eps) relative term, per the classic algorithm.
+    `tol` > 0 is the absolute positioning tolerance; the effective tolerance
+    also includes a sqrt(machine-eps) relative term, per the classic algorithm.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not tol > 0:
-        raise ArgumentError(f"need tol > 0, got {tol}")
-    if not lo < hi:
-        raise ArgumentError(f"need lo < hi, got [{lo}, {hi}]")
-
     rel = math.sqrt(np.finfo(float).eps)
-    a, b = lo, hi
+    a, b = float(lo), float(hi)
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = float(f(x, *params))
     evals = 1

@@ -18,8 +18,6 @@ validates and demeans it once, and `shared` keeps what the estimators build
 from it (a partition, a profile, a periodogram) for the next one to read.
 """
 
-from math import isqrt
-
 import numpy as np
 
 from .errors import ArgumentError, InsufficientDataError, NoPartitionError
@@ -115,26 +113,16 @@ def cumulative_bias(x):
 
 
 def sample_std(x):
-    """Unbiased (n-1) standard deviation of the samples."""
-    arr = np.asarray(x, dtype=float).reshape(-1)
-    if arr.size < 2:
-        raise InsufficientDataError("standard deviation needs >= 2 samples")
-    return float(arr.std(ddof=1))
+    """Unbiased (n-1) standard deviation of two or more samples."""
+    return float(np.asarray(x, dtype=float).std(ddof=1))
 
 
 def gen_sbpf(a, w):
     """Bounded proper factors of `a`: divisors d with w <= d <= a // w.
 
-    Returns an ascending list of ints; empty when `a` is prime.  Requires
-    a >= 4 and 2 <= w <= isqrt(a) (otherwise the band is empty by
-    construction, which is an argument error rather than a finding).
+    Returns an ascending list of ints; empty when `a` is prime.  Takes
+    a >= 4 and 2 <= w <= isqrt(a), as search_opt_seq_len passes them.
     """
-    a = int(a)
-    w = int(w)
-    if a < 4:
-        raise ArgumentError(f"need a >= 4, got {a}")
-    if not 2 <= w <= isqrt(a):
-        raise ArgumentError(f"need 2 <= w <= isqrt({a}) = {isqrt(a)}, got {w}")
     cand = np.arange(w, a // w + 1)
     return [int(d) for d in cand[a % cand == 0]]
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, CutoffTooSmallError, DegenerateSequenceError
+from .errors import CutoffTooSmallError, DegenerateSequenceError
 # as_series and linear_regr_solver are not called here; perfbench traces both
 from .numerics import linear_regr_solver, loc_min_solve  # noqa: F401
 from .partition import as_series, demeaned, shared  # noqa: F401
@@ -39,8 +39,6 @@ def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
     Regresses ln I(k) on ln[4 sin^2(f/2)] over the low-frequency bins
     f = k/N <= f_cutoff for k = 2..floor(N/2) (DC excluded); H = 1/2 - slope.
     """
-    if not 0.0 < f_cutoff <= 0.5:
-        raise ArgumentError(f"cutoff must lie in (0, 0.5], got {f_cutoff}")
     n, power = _periodogram(x)
     k = np.arange(2, n // 2 + 1)
     freq = k / n
@@ -69,8 +67,6 @@ def est_dwt(x, r=1, flag=2):
     there to swing the slope by tenths.  The 64-sample floor always leaves
     two levels (32 and 16 coefficients at N = 64).
     """
-    if r not in (1, 2):
-        raise ArgumentError(f"order r must be 1 or 2, got {r!r}")
     dec = wavedec(demeaned(x, 64), DB24_LOWPASS if r == 1 else HAAR_LOWPASS)
     scales, stats = [], []
     for level, detail in enumerate(dec.details, start=1):
@@ -96,14 +92,6 @@ class LwObjectiveData:
     def __post_init__(self):
         freq = np.asarray(self.frequencies, dtype=float).reshape(-1)
         pwr = np.asarray(self.power, dtype=float).reshape(-1)
-        if freq.size != pwr.size or freq.size == 0:
-            raise ArgumentError(
-                f"need matching non-empty vectors, got {freq.size} and {pwr.size}"
-            )
-        if np.any(freq <= 0) or np.any(np.diff(freq) <= 0):
-            raise ArgumentError("frequencies must be positive and increasing")
-        if np.any(pwr < 0):
-            raise ArgumentError("power values must be nonnegative")
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "power", pwr)
         object.__setattr__(self, "mean_log_frequency", np.mean(np.log(freq)))

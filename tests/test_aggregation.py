@@ -25,6 +25,7 @@ from hurstkit.errors import (
     SingularSystemError,
 )
 from hurstkit.generators import FgnSpec, gen_fgn
+from hurstkit.harness import estimate_series
 from hurstkit.partition import sample_std
 
 
@@ -106,13 +107,6 @@ def test_fun_cm_lssd_examples():
         assert 0.0 < c < math.sqrt(u / (u - 0.5))
 
 
-def test_fun_cm_lssd_rejects_bad_ratio():
-    with pytest.raises(ArgumentError):
-        fun_cm_lssd(10, 10, 0.5)
-    with pytest.raises(ArgumentError):
-        fun_cm_lssd(20, 10, 0.5)
-
-
 def test_fun_dm_examples():
     assert fun_dm(1, 10, 0.5) == pytest.approx(-math.log(10.0) / 9.0, abs=1e-12)
     n = 64
@@ -136,8 +130,6 @@ def test_fun_cm_lsv_examples():
     )
     for hurst in (0.1, 0.4, 0.6, 0.9):
         assert fun_cm_lsv(4, 90, hurst) > 0.0
-    with pytest.raises(ArgumentError):
-        fun_cm_lsv(10, 10, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +223,13 @@ def test_obj_fun_lsv_synthetic_self_consistency():
 
 
 def test_context_validation():
-    with pytest.raises(ArgumentError):
-        BlockSumContext(100, 2.0, 50.0, np.array([1.0, 2.0]), np.array([1.0]))
-    with pytest.raises(ArgumentError):
-        BlockSumContext(100, 2.0, 50.0, np.array([2.0, 1.0]), np.ones(2))
-    with pytest.raises(ArgumentError):
-        BlockSumContext(100, 2.0, 50.0, np.array([1.0, 200.0]), np.ones(2))
-    with pytest.raises(ArgumentError):
-        BlockSumContext(100, 2.0, 50.0, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-    with pytest.raises(ArgumentError):
-        BlockSumContext(100, -1.0, 50.0, np.array([1.0, 2.0]), np.ones(2))
+    # the context's weight and penalty come from options estimate_series checks
+    x = rand_series(0, 1000)
+    for method in ("lssd", "lsv"):
+        with pytest.raises(ArgumentError, match="^weight_p must be"):
+            estimate_series(x, method, weight_p=-1.0)
+        with pytest.raises(ArgumentError, match="^penalty_q must be"):
+            estimate_series(x, method, penalty_q=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ def test_generator_length_validation():
     (10, 1.5, "seed"),
     ("10", 1, "length"),
     (10, -1, "seed"),
+    (True, 1, "length"),
 ])
 def test_gen_iid_names_a_bad_count(length, seed, field):
     with pytest.raises(ArgumentError, match=field):
@@ -94,11 +95,19 @@ def test_fgn_spec_validation():
         FgnSpec(0.5, 100, -3)
 
 
+@pytest.mark.parametrize("hurst", ["0.7", None, True, 0.7j, float("nan"),
+                                   float("inf"), -float("inf"), 0.0, 1.0])
+def test_fgn_spec_names_a_bad_hurst(hurst):
+    with pytest.raises(ArgumentError, match="^hurst must be"):
+        FgnSpec(hurst, 100, 1)
+
+
 @pytest.mark.parametrize("length, seed, field", [
     (3000.0, 1, "length"),
     (3000, 1.5, "seed"),
     (3000, 1.0, "seed"),
     (None, 1, "length"),
+    (3000, True, "seed"),
 ])
 def test_fgn_spec_names_a_non_integral_count(length, seed, field):
     with pytest.raises(ArgumentError, match=f"{field} must be an integer"):

@@ -255,6 +255,68 @@ def test_estimate_series_rejects_unknowns():
         estimate_series(rand_series(0, 500), "ghe", bogus=1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+# option -> values that are not one of its values: a wrong type, a bool where
+# a number is wanted, NaN, +-inf and values out of range
+BAD_OPTIONS = {
+    "window": ["50", True, NAN, INF, -INF, 1, 0, 10.7, 10.0],
+    "norm": ["2", True, NAN, INF, -INF, 0, 3, 1.5],
+    "q_order": ["2", True, 2j, NAN, INF, -INF, 0.0, -1.0],
+    "cutoff": ["0.1", True, NAN, INF, -INF, 0.0, -0.1, 0.6],
+    "weight_p": ["2", True, NAN, INF, -INF, -1.0],
+    "penalty_q": ["50", True, NAN, INF, -INF, 0.0, -50.0],
+    "epsilon": ["1e-4", True, NAN, INF, -INF, 0.0, -1e-4],
+    "corrected": ["no", "yes", 1, 0.0, NAN],
+}
+
+
+@pytest.mark.parametrize("option, value", [
+    (option, value) for option, values in BAD_OPTIONS.items() for value in values
+])
+def test_estimate_series_checks_options_before_estimating(option, value,
+                                                          monkeypatch):
+    def estimator_ran(*args, **kwargs):
+        raise AssertionError("an estimator ran on an invalid option")
+
+    for name in dir(hurstkit.harness):
+        if name.startswith("est_"):
+            monkeypatch.setattr(hurstkit.harness, name, estimator_ran)
+    for method in METHODS:
+        with pytest.raises(ArgumentError, match=rf"^{option} must be"):
+            estimate_series(rand_series(0, 500), method, **{option: value})
+
+
+def test_invalid_norm_fails_before_any_detrending(monkeypatch):
+    def detrended(*args):
+        raise AssertionError("dfa detrended on norm=3")
+
+    monkeypatch.setattr(hurstkit.timedomain, "_detrended_stds", detrended)
+    with pytest.raises(ArgumentError, match="^norm must be"):
+        estimate_series(rand_series(0, 30000), "dfa", norm=3)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("window", 2), ("window", np.int64(30)), ("norm", 1), ("norm", 2.0),
+    ("q_order", 3), ("cutoff", 0.5), ("weight_p", 0.0), ("penalty_q", 1e-3),
+    ("epsilon", np.float64(1e-6)), ("corrected", np.True_),
+])
+def test_estimate_series_takes_valid_options(option, value):
+    res = estimate_series(rand_series(1, 3000), "rs", **{option: value})
+    assert math.isfinite(res.hurst)
+
+
+@pytest.mark.parametrize("suite", [run_fgn_suite, run_random_suite])
+def test_suite_checks_config_before_drawing_a_path(suite, monkeypatch):
+    def drew(*args):
+        raise AssertionError("a path was drawn under an invalid config")
+
+    for name in ("_draw_fgn", "_embedding_amplitudes", "gen_iid"):
+        monkeypatch.setattr(hurstkit.bench, name, drew)
+    with pytest.raises(ArgumentError, match="^cutoff must be"):
+        suite(replicates=1, length=1000, config={"cutoff": 0.0})
+
+
 def test_estimate_series_prefixes_method_on_errors():
     # a constant series has a statistic of 0 at every scale, which every
     # method that fits over scales reports by the one rule of live_scales
@@ -409,8 +471,6 @@ def test_relative_error_examples():
     assert relative_error(0.55, 0.5) == pytest.approx(10.0, abs=1e-12)
     assert relative_error(0.5, 0.5) == 0.0
     assert relative_error(0.2629, 0.30) == pytest.approx(12.3667, abs=1e-4)
-    with pytest.raises(ArgumentError):
-        relative_error(0.5, 0.0)
 
 
 def test_random_suite_shape_and_determinism():
@@ -493,6 +553,12 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--method", "ghe"]) == 1
     assert main(["estimate", "--input", str(series), "--method", "pm",
                  "--cutoff", "0.9"]) == 1
+    # every method refuses an invalid option, whether it reads it or not
+    assert main(["estimate", "--input", str(series), "--method", "dfa",
+                 "--epsilon", "nan"]) == 1
+    assert main(["bench", "random", "--cutoff", "0",
+                 "--out", str(tmp_path / "bench")]) == 1
+    assert not (tmp_path / "bench").exists()
     assert main(["bogus-command"]) == 1
     assert main(["bench", "fgn", "--h-grid", "junk",
                  "--out", str(tmp_path)]) == 1

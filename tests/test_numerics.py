@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from hurstkit import estimate_series
-from hurstkit.errors import (
-    ArgumentError,
-    DomainError,
-    NonConvergenceError,
-    RankDeficiencyError,
-    UnderdeterminedSystemError,
-)
+from hurstkit.errors import DomainError, NonConvergenceError
 from hurstkit.generators import FgnSpec, gen_fgn
 from hurstkit.numerics import (
     fit_power_law,
@@ -65,10 +59,6 @@ def test_format_power_law_data_domain_errors():
     # the offending value prints as a Python float, not as np.float64(0.0)
     with pytest.raises(DomainError, match=r"^non-positive y entry at index 3: 0.0$"):
         format_power_law_data([1.0, 1.0, 2.0], [1.0, 1.0, 0.0])
-    with pytest.raises(UnderdeterminedSystemError):
-        format_power_law_data([2.0], [3.0])
-    with pytest.raises(ArgumentError):
-        format_power_law_data([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("flag", [1, 2])
@@ -104,17 +94,6 @@ def test_l2_exact_on_collinear_points():
     assert fit.intercept == pytest.approx(2.5, abs=1e-12)
     assert fit.slope == pytest.approx(-0.75, abs=1e-12)
     assert fit.norm_flag == 2
-
-
-def test_solver_flag_and_shape_validation():
-    A = np.column_stack([np.ones(3), np.arange(3.0)])
-    with pytest.raises(ArgumentError):
-        linear_regr_solver(A, np.zeros(3), 3)
-    with pytest.raises(ArgumentError):
-        linear_regr_solver(A, np.zeros(4), 2)
-    with pytest.raises(RankDeficiencyError):
-        linear_regr_solver(np.column_stack([np.ones(3), np.full(3, 2.0)]),
-                           np.zeros(3), 2)
 
 
 # ---------------------------------------------------------------- l1 fitting
@@ -240,11 +219,6 @@ def test_fixed_point_budget_exhaustion():
     assert exc.value.last == exc.value.previous + 1.0
 
 
-def test_fixed_point_rejects_bad_eps():
-    with pytest.raises(ArgumentError):
-        fixed_point_solve(math.cos, 1.0, 0.0)
-
-
 # ------------------------------------------------------- interval minimizer
 
 
@@ -276,10 +250,6 @@ def test_brent_stays_inside_interval_and_passes_params():
 
 
 def test_brent_validation_and_budget():
-    with pytest.raises(ArgumentError):
-        loc_min_solve(lambda t: t, 0.0, 1.0, 0.0)
-    with pytest.raises(ArgumentError):
-        loc_min_solve(lambda t: t, 2.0, 1.0, 1e-8)
     with pytest.raises(NonConvergenceError):
         # denormal tolerance can never be met near zero
         loc_min_solve(lambda t: t, 0.0, 1.0, 5e-324)

@@ -69,7 +69,9 @@ _RULES = {
 
 def _settings(overrides):
     """DEFAULTS with the non-None `overrides` put in, each checked by its
-    rule: the one place an option is checked, before any estimator runs."""
+    rule: the one place an option is checked, before any estimator runs.
+    A numpy scalar is stored as its Python value, so a result's config
+    stays JSON-ready."""
     cfg = dict(DEFAULTS)
     for key, value in overrides.items():
         if key not in DEFAULTS:
@@ -78,7 +80,7 @@ def _settings(overrides):
             )
         if value is not None:
             _RULES[key](key, value)
-            cfg[key] = value
+            cfg[key] = value.item() if isinstance(value, np.generic) else value
     return cfg
 
 

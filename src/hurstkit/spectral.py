@@ -1,20 +1,22 @@
 """Spectrum-domain Hurst estimators: periodogram, wavelet, full-band Whittle.
 
-pm and lw read one periodogram (_periodogram), built once for both on a
-partition.PreparedSeries; every estimator here starts from
-partition.demeaned with a floor of 100 (pm, lw) or 64 (awc, vvl) samples.
+pm and lw read one periodogram (_periodogram), taken with a real-input FFT
+and built once for both on a partition.PreparedSeries; every estimator here
+starts from partition.demeaned with a floor of 100 (pm, lw) or 64 (awc, vvl)
+samples.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CutoffTooSmallError, DegenerateSequenceError
-# as_series and linear_regr_solver are not called here; perfbench traces both
+# as_series, linear_regr_solver, dft: not called here; perfbench traces them
 from .numerics import linear_regr_solver, loc_min_solve  # noqa: F401
 from .partition import as_series, demeaned, shared  # noqa: F401
 from .results import build_result, fit_result
-from .transforms import DB24_LOWPASS, HAAR_LOWPASS, dft, wavedec
+from .transforms import DB24_LOWPASS, HAAR_LOWPASS, dft, wavedec  # noqa: F401
 
 DEFAULT_CUTOFF = 0.1
 MIN_LEVEL_COEFFS = 16
@@ -23,12 +25,25 @@ _LW_TOL = 1e-8
 
 
 def _periodogram(x):
-    """N and |X_j|^2 for j = 1..floor(N/2) of the demeaned series."""
+    """N and |X_j|^2 for j = 1..floor(N/2) of the demeaned series.
+
+    The bins come from np.fft.rfft, which never holds a complex copy of the
+    series.  A bin whose real and imaginary parts are both at most
+    log2(N) * eps * sum|x_j| is rounding noise around an exact 0 (the even
+    bins of a 0/1 step, all but the last bin of a +-1 alternation) and
+    counts as 0, so that live_scales drops it.  The parts are compared, not
+    their squares, which could overflow where the parts do not.
+    """
     arr = demeaned(x, 100)
 
     def power():
-        bins = dft(arr)[1 : arr.size // 2 + 1]
-        return bins.real**2 + bins.imag**2
+        bins = np.fft.rfft(arr)[1 : arr.size // 2 + 1]
+        tol = math.log2(arr.size) * np.finfo(float).eps * np.abs(arr).sum()
+        noise = (np.abs(bins.real) <= tol) & (np.abs(bins.imag) <= tol)
+        squares = bins.real**2
+        squares += bins.imag**2
+        squares[noise] = 0.0
+        return squares
 
     return arr.size, shared(x, "periodogram", power)
 

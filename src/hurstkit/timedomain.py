@@ -319,10 +319,10 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
     def scale_ratio(m):
         segments = arr[:n_opt].reshape(n_opt // m, m)
         bias = segments - segments.mean(axis=1, keepdims=True)
-        profile = np.cumsum(bias, axis=1)
-        ranges = profile.max(axis=1) - profile.min(axis=1)
         # the rows are demeaned already: std(ddof=1) without a second mean
         stds = np.sqrt(np.einsum("ij,ij->i", bias, bias) / (m - 1))
+        profile = np.cumsum(bias, axis=1, out=bias)  # in place: one N-array
+        ranges = profile.max(axis=1) - profile.min(axis=1)
         keep, dropped = _live_segments(stds, m, "is constant")
         ratio = float((ranges[keep] / stds[keep]).mean())
         if corrected:

@@ -1,7 +1,8 @@
-"""Fourier and wavelet machinery shared by the frequency-domain estimators.
+"""Fourier and wavelet machinery of the frequency-domain estimators.
 
-The DFT is delegated to numpy's pocketfft (any length, Bluestein under the
-hood).  The wavelet side is self-contained: an orthonormal periodized
+`dft` is the reference transform, numpy's complex pocketfft (any length,
+Bluestein under the hood); the periodogram takes the same bins from a
+real-input FFT and is tested against it.  The wavelet side is self-contained: an orthonormal periodized
 filter-bank cascade plus the two filters the estimators use (Haar and a
 48-tap Daubechies filter with 24 vanishing moments, generated offline by
 spectral factorization in 60-digit arithmetic -- see tools/make_db24.py).

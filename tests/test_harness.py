@@ -4,6 +4,7 @@ import gzip
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,36 @@ def test_invalid_norm_fails_before_any_detrending(monkeypatch):
 def test_estimate_series_takes_valid_options(option, value):
     res = estimate_series(rand_series(1, 3000), "rs", **{option: value})
     assert math.isfinite(res.hurst)
+
+
+@pytest.mark.parametrize("method, option, value, plain", [
+    ("dfa", "window", np.int64(30), 30),
+    ("pm", "cutoff", np.float64(0.2), 0.2),
+    ("rs", "corrected", np.bool_(True), True),
+])
+def test_numpy_option_is_stored_as_python_value(method, option, value, plain):
+    res = estimate_series(rand_series(1, 3000), method, **{option: value})
+    stored = res.config[option]
+    assert type(stored) is type(plain) and stored == plain
+    parsed = json.loads(json.dumps(res.to_dict()))
+    assert parsed["config"][option] == plain
+
+
+@pytest.mark.parametrize("method, arrays", [("pm", 4), ("lw", 4), ("rs", 2.5)])
+def test_estimate_series_peak_memory(method, arrays):
+    # pm and lw take a real-input FFT, which holds no complex copy of the
+    # series (the complex one peaked at 5 arrays of its length); rs builds
+    # each scale's profile over its demeaned rows (two buffers peaked at 3.1)
+    n = 2**17
+    x = gen_fgn(FgnSpec(0.7, n, 1))
+    estimate_series(x, method)  # the FFT plans, once
+    tracemalloc.start()
+    try:
+        estimate_series(x, method)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * n
 
 
 @pytest.mark.parametrize("suite", [run_fgn_suite, run_random_suite])

@@ -3,23 +3,27 @@
 import numpy as np
 import pytest
 
+from hurstkit import spectral
 from hurstkit.errors import (
     ArgumentError,
     CutoffTooSmallError,
     DegenerateSequenceError,
     InsufficientDataError,
 )
+from hurstkit.generators import FgnSpec, gen_fgn
 from hurstkit.harness import estimate_series
 from hurstkit.numerics import loc_min_solve
+from hurstkit.partition import demeaned
 from hurstkit.spectral import (
     MIN_LEVEL_COEFFS,
     LwObjectiveData,
+    _periodogram,
     est_dwt,
     est_lw,
     est_pm,
     obj_fun_lw,
 )
-from hurstkit.transforms import DB24_LOWPASS, HAAR_LOWPASS, wavedec
+from hurstkit.transforms import DB24_LOWPASS, HAAR_LOWPASS, dft, wavedec
 
 
 def rand_series(seed, n):
@@ -45,6 +49,54 @@ def test_pm_matches_independent_oracle():
         slope = np.polyfit(np.log(scales), np.log(power), 1)[0]
         want = 0.5 - slope
         assert est_pm(x, 0.1, 2).hurst == pytest.approx(want, abs=1e-9)
+
+
+def dft_periodogram(x):
+    """N and |X_j|^2, j = 1..floor(N/2), from the complex reference DFT."""
+    arr = demeaned(x, 100)
+    bins = dft(arr)[1 : arr.size // 2 + 1]
+    return arr.size, bins.real**2 + bins.imag**2
+
+
+def spectral_inputs(n):
+    return [("fgn", gen_fgn(FgnSpec(0.7, n, 11))), ("iid", rand_series(11, n))]
+
+
+@pytest.mark.parametrize("n", [100, 101, 4096, 30000, 30001])
+def test_periodogram_matches_reference_dft(n):
+    # the real-input FFT gives the complex DFT's bins to rounding
+    for _, x in spectral_inputs(n):
+        size, got = _periodogram(x)
+        _, want = dft_periodogram(x)
+        assert size == n and got.shape == want.shape == (n // 2,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("n", [30000, 30001])
+def test_pm_and_lw_match_reference_dft_periodogram(n, monkeypatch):
+    inputs = spectral_inputs(n) + [("fgn-h0.3", gen_fgn(FgnSpec(0.3, n, 12)))]
+    got = {(name, m): estimate_series(x, m).hurst
+           for name, x in inputs for m in ("pm", "lw")}
+    monkeypatch.setattr(spectral, "_periodogram", dft_periodogram)
+    for name, x in inputs:
+        want_pm = estimate_series(x, "pm").hurst
+        assert got[name, "pm"] == pytest.approx(want_pm, rel=1e-12, abs=0)
+        # lw moves within its Brent tolerance, 1e-8 + 1.5e-8 * H
+        want_lw = estimate_series(x, "lw").hurst
+        assert got[name, "lw"] == pytest.approx(want_lw, rel=0, abs=5e-8)
+
+
+def test_periodogram_rounding_level_bins_are_zero():
+    # a +-1 alternation has one bin, the last, above 0 in exact arithmetic
+    alternating = np.tile([1.0, -1.0], 5000)
+    _, power = _periodogram(alternating)
+    assert np.count_nonzero(power) == 1 and power[-1] > 0
+    with pytest.raises(DegenerateSequenceError,
+                       match="^pm: the scale statistic is 0 at 999 of 999"):
+        estimate_series(alternating, "pm")
+    # a 0/1 step: every even bin is 0
+    _, power = _periodogram(np.r_[np.zeros(5000), np.ones(5000)])
+    assert not power[1::2].any() and power[::2].all()
 
 
 def test_pm_point_count_and_config():

@@ -443,6 +443,34 @@ def test_rs_matches_independent_oracle():
         assert got.config["corrected"] is corrected
 
 
+def test_rs_in_place_profile_is_bitwise_two_buffer_form(monkeypatch):
+    # the profile overwrites the demeaned rows once their std is taken; the
+    # ratios equal the form that keeps both arrays, bit for bit
+    x = gen_fgn(FgnSpec(0.7, 30000, 4))
+    arr = demeaned(x)
+    n_opt, factors = search_opt_seq_len(arr.size, 50)
+    got = []
+    scale_map = timedomain._map_scales
+
+    def recording_map(stat, factors, n_opt):
+        ratios = scale_map(stat, factors, n_opt)
+        got.extend(ratio for ratio, _ in ratios)
+        return ratios
+
+    monkeypatch.setattr(timedomain, "_map_scales", recording_map)
+    est_rs(x, 50)
+    want = []
+    for m in factors:
+        segments = arr[:n_opt].reshape(n_opt // m, m)
+        bias = segments - segments.mean(axis=1, keepdims=True)
+        profile = np.cumsum(bias, axis=1)
+        ranges = profile.max(axis=1) - profile.min(axis=1)
+        stds = np.sqrt(np.einsum("ij,ij->i", bias, bias) / (m - 1))
+        assert (stds > 0).all()
+        want.append(float((ranges / stds).mean()))
+    assert got == want
+
+
 def test_rs_corrected_closer_to_half_on_white_noise():
     # the small-sample correction exists to remove the classic upward bias
     errs_plain, errs_corr = [], []

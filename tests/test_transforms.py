@@ -49,7 +49,8 @@ def test_dft_matches_direct_sum(n):
 
 
 def periodogram(x):
-    """|X_k|^2 / N, as est_pm builds it from dft."""
+    """|X_k|^2 / N from the reference dft; est_pm reads the same bins from a
+    real-input FFT (tests/test_spectral.py checks the two agree)."""
     spec = dft(np.asarray(x, dtype=float))
     return (spec.real**2 + spec.imag**2) / spec.size
 

@@ -6,17 +6,28 @@ assemble a BenchReport that serializes to a deterministic matrix TSV
 (methods as columns) and a long-form TSV (one row per cell, plot-ready).
 A failing cell is marked and the suite carries on.
 
-Each path is drawn when its turn comes and wrapped once in a
-partition.PreparedSeries, so the thirteen methods share what they have in
-common (the demeaned series, partitions, profiles, the periodogram); the fGn
-suite computes one embedding per H for all its replicates.  Every estimate
-is bitwise the one a separate estimate_series call on the path gives.
+Each path is drawn, wrapped once in a partition.PreparedSeries and run
+through the thirteen methods as one task, so the methods share what they
+have in common (the demeaned series, partitions, profiles, the
+periodogram); the fGn suite computes one embedding per H for all its
+replicates.  The paths of a suite, across all its labels, run on one pool of
+min(usable CPUs, number of paths) processes started by fork; with one usable
+CPU (``taskset -c 0``) or on a platform without fork they run serially in
+the calling process.  Every estimate, error and TSV byte is the same either
+way, and bitwise the one a separate estimate_series call on the path gives.
+A worker holds one path and its intermediates at a time (its peak RSS was
+152 MiB at N = 1e6, Python 3.11 and numpy 2.4), and timedomain._map_scales
+still starts its threads inside a worker once the prefix has 2e5 samples.
+A tracer or profiler installed in the calling process sees only that
+process, so it sees the estimators only in a serial run.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _cpus
 from .errors import ArgumentError, HurstkitError
 # gen_fgn is not called here; perfbench traces the name
 from .generators import (  # noqa: F401
@@ -109,38 +120,65 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_cells(report, label, paths, h_true, config):
-    """Append one row per method for the paths of one label.
+def _path_outcomes(draw, args, config):
+    """Draw one path as draw(*args) and run every method on it.
 
-    Paths run one at a time through every method still live; a method's
-    first failure ends its cell, and the rows come out in METHODS order.
+    Returns, in METHODS order, each method's H or the type name of the
+    HurstkitError it raised.
     """
-    estimates = {method: [] for method in METHODS}
-    failures = {}
-    for x in paths:
-        prepared = PreparedSeries(x)
-        for method in METHODS:
-            if method in failures:
-                continue
-            try:
-                result = estimate_series(prepared, method, **config)
-            except HurstkitError as exc:
-                failures[method] = type(exc).__name__
-            else:
-                estimates[method].append(result.hurst)
+    prepared = PreparedSeries(draw(*args))
+    outcomes = []
     for method in METHODS:
-        failure = failures.get(method)
+        try:
+            outcomes.append(estimate_series(prepared, method, **config).hurst)
+        except HurstkitError as exc:
+            outcomes.append(type(exc).__name__)
+    return outcomes
+
+
+def _run_paths(tasks, n_paths, config):
+    """[_path_outcomes(draw, args, config) for (draw, args) in tasks].
+
+    The paths run on a pool of min(usable CPUs, n_paths) forked processes,
+    each of which draws its own paths, or in the calling process when that
+    is 1 or the platform cannot fork.  The outcomes come back in task order.
+    An exception other than a HurstkitError reaches the caller and cancels
+    the paths not yet started; no worker outlives the call.
+    """
+    workers = min(_cpus.usable_cpus(), n_paths)
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_path_outcomes(draw, args, config) for draw, args in tasks]
+    # imported here: `import hurstkit` and the serial path should not pay
+    # for them.  fork, not spawn: a worker needs no import of the caller's
+    # script, which may run a suite without an `if __name__` guard.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_path_outcomes, draw, args, config)
+                   for draw, args in tasks]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _add_cells(report, label, outcomes, h_true):
+    """Append one row per method, in METHODS order, for the paths of one
+    label; a method's first failure in path order sets its cell's error."""
+    for method, column in zip(METHODS, zip(*outcomes)):
+        failure = next((o for o in column if isinstance(o, str)), None)
         if failure:
             row = BenchCell(label, method, replicates=report.replicates,
                             seed_base=report.seed, error=failure)
         else:
-            hursts = estimates[method]
-            mean = float(np.mean(hursts))
+            mean = float(np.mean(column))
             row = BenchCell(
                 label,
                 method,
                 mean=mean,
-                std=float(np.std(hursts, ddof=1)) if len(hursts) > 1 else 0.0,
+                std=float(np.std(column, ddof=1)) if len(column) > 1 else 0.0,
                 rel_error=relative_error(mean, h_true),
                 replicates=report.replicates,
                 seed_base=report.seed,
@@ -154,9 +192,12 @@ def run_random_suite(replicates=10, length=10000, seed=42, config=None):
         raise ArgumentError(f"need at least 1 replicate, got {replicates}")
     _settings(config or {})  # a bad option fails before any path is drawn
     report = BenchReport("random", length, replicates, seed)
-    for dist in DISTRIBUTIONS:
-        paths = (gen_iid(dist, length, seed + i) for i in range(replicates))
-        _run_cells(report, dist, paths, WHITE_NOISE_H, config or {})
+    tasks = ((gen_iid, (dist, length, seed + i))
+             for dist in DISTRIBUTIONS for i in range(replicates))
+    outcomes = _run_paths(tasks, len(DISTRIBUTIONS) * replicates, config or {})
+    for k, dist in enumerate(DISTRIBUTIONS):
+        _add_cells(report, dist,
+                   outcomes[k * replicates:(k + 1) * replicates], WHITE_NOISE_H)
     return report
 
 
@@ -184,9 +225,16 @@ def run_fgn_suite(h_values=DEFAULT_H_GRID, replicates=10, length=30000,
         labels[label] = h
     _settings(config or {})  # a bad option fails before any path is drawn
     report = BenchReport("fgn", length, replicates, seed)
-    for label, h in labels.items():
-        specs = [FgnSpec(h, length, seed + i) for i in range(replicates)]
-        amp = _embedding_amplitudes(h, length)
-        paths = (_draw_fgn(spec, amp) for spec in specs)
-        _run_cells(report, label, paths, h, config or {})
+
+    def tasks():
+        for h in labels.values():
+            specs = [FgnSpec(h, length, seed + i) for i in range(replicates)]
+            amp = _embedding_amplitudes(h, length)  # one embedding per H
+            for spec in specs:
+                yield _draw_fgn, (spec, amp)
+
+    outcomes = _run_paths(tasks(), len(labels) * replicates, config or {})
+    for k, (label, h) in enumerate(labels.items()):
+        _add_cells(report, label,
+                   outcomes[k * replicates:(k + 1) * replicates], h)
     return report

@@ -33,10 +33,10 @@ computed exactly as on one thread.
 """
 
 import math
-import os
 
 import numpy as np
 
+from . import _cpus
 from .aggregation import clip_hurst, fun_cm_lsv
 from .errors import DegenerateSequenceError, NoPartitionError
 from .numerics import fit_power_law, fixed_point_solve, lad_lines
@@ -65,13 +65,6 @@ _THREADED_MIN_SAMPLES = 200_000
 _MAX_WORKERS = 4
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def _map_scales(stat, factors, n_opt):
     """[stat(m) for m in factors], on worker threads for a long prefix.
 
@@ -83,7 +76,7 @@ def _map_scales(stat, factors, n_opt):
     started are then cancelled.  The pool lives for this call only, so no
     thread outlives it.
     """
-    workers = min(_usable_cpus(), _MAX_WORKERS, len(factors))
+    workers = min(_cpus.usable_cpus(), _MAX_WORKERS, len(factors))
     if n_opt < _THREADED_MIN_SAMPLES or workers < 2:
         return [stat(m) for m in factors]
     # imported here: concurrent.futures pulls in logging, which the serial

@@ -326,7 +326,8 @@ def test_cache_dir_follows_xdg_cache_home(tmp_path, monkeypatch):
 
 def test_cache_loads_only_on_the_estimate_path():
     code = ("import sys, hurstkit, hurstkit.cli; "
-            "print([m for m in ('hashlib', 'hurstkit._cache') "
+            "print([m for m in ('hashlib', 'hurstkit._cache', "
+            "'multiprocessing', 'concurrent.futures') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

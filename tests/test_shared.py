@@ -2,16 +2,21 @@
 
 A partition.PreparedSeries lets the thirteen methods read one validated,
 demeaned series and the intermediates built from it; the fGn suite draws
-every replicate of an H from one embedding.  Each is checked here against
-the computation it replaces: fresh estimate_series calls on the array, the
-method-outer suite loop with one gen_fgn call per replicate, and the solver
-objectives as they were written before their H-invariant terms moved into
-the context objects.
+every replicate of an H from one embedding, and both suites run their paths
+on a process pool.  Each is checked here against the computation it
+replaces: fresh estimate_series calls on the array, the method-outer suite
+loop with one gen_fgn call per replicate, run serially and on the pool, and
+the solver objectives as they were written before their H-invariant terms
+moved into the context objects.
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from hurstkit import _cpus, harness
 from hurstkit.aggregation import (
     BlockSumContext,
     ctm_lssd,
@@ -156,31 +161,72 @@ def _assert_same_tsvs(report, oracle):
     assert report.to_matrix_tsv() == oracle.to_matrix_tsv()
 
 
+def _forcing_cpus(monkeypatch, cpus):
+    """Make the suites see `cpus` usable CPUs: 1 runs them serially, 2 on a
+    pool of two workers, whatever the machine has."""
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: cpus)
+
+
+SERIAL_AND_POOLED = (1, 2)
+
+
 @pytest.mark.parametrize("length, config", [(200, {}), (3000, {"window": 20})])
-def test_random_suite_matches_the_method_outer_loop(length, config):
-    report = run_random_suite(replicates=3, length=length, seed=11,
-                              config=config)
-    _assert_same_tsvs(report, _oracle_random_suite(3, length, 11, config))
+def test_random_suite_matches_the_method_outer_loop(monkeypatch, length,
+                                                    config):
+    oracle = _oracle_random_suite(3, length, 11, config)
+    for cpus in SERIAL_AND_POOLED:
+        _forcing_cpus(monkeypatch, cpus)
+        report = run_random_suite(replicates=3, length=length, seed=11,
+                                  config=config)
+        _assert_same_tsvs(report, oracle)
+        assert not multiprocessing.active_children()
     if length == 200:  # the partition floor fails some cells, not all
         errors = {row.error for row in report.rows}
         assert None in errors and len(errors) > 1
 
 
-def test_fgn_suite_matches_the_method_outer_loop():
+def test_fgn_suite_matches_the_method_outer_loop(monkeypatch):
     args = ((0.3, 0.55, 0.8), 3, 4000, 9)
-    _assert_same_tsvs(run_fgn_suite(*args), _oracle_fgn_suite(*args))
+    oracle = _oracle_fgn_suite(*args)
+    for cpus in SERIAL_AND_POOLED:
+        _forcing_cpus(monkeypatch, cpus)
+        _assert_same_tsvs(run_fgn_suite(*args), oracle)
+        assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("error, args", [
     (EmbeddingError, ((0.5, 0.92), 2, 1000, 1)),
     (ArgumentError, ((0.5,), 2, 1000, -1)),
 ])
-def test_fgn_suite_raises_as_the_method_outer_loop(error, args):
-    with pytest.raises(error) as new:
-        run_fgn_suite(*args)
+def test_fgn_suite_raises_as_the_method_outer_loop(monkeypatch, error, args):
     with pytest.raises(error) as old:
         _oracle_fgn_suite(*args)
-    assert str(new.value) == str(old.value)
+    for cpus in SERIAL_AND_POOLED:
+        _forcing_cpus(monkeypatch, cpus)
+        with pytest.raises(error) as new:
+            run_fgn_suite(*args)
+        assert str(new.value) == str(old.value)
+        assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("cpus", SERIAL_AND_POOLED)
+@pytest.mark.parametrize("suite", [
+    lambda: run_fgn_suite((0.5, 0.7), replicates=2, length=500),
+    lambda: run_random_suite(replicates=2, length=500),
+], ids=["fgn", "random"])
+def test_an_unexpected_error_reaches_the_caller(monkeypatch, cpus, suite):
+    # not a HurstkitError, so no cell may swallow it; the pool's workers
+    # inherit the patched estimator through fork
+    def broken(*args):
+        raise RuntimeError(f"tta broke in {os.getpid()}")
+
+    _forcing_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(harness, "est_tta", broken)
+    with pytest.raises(RuntimeError, match="tta broke in") as caught:
+        suite()
+    in_caller = str(caught.value) == f"tta broke in {os.getpid()}"
+    assert in_caller == (cpus == 1)
+    assert not multiprocessing.active_children()
 
 
 def test_fgn_suite_rejects_h_values_that_share_a_label(tmp_path, capsys):

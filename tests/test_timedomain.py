@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import hurstkit
-from hurstkit import timedomain
+from hurstkit import _cpus, timedomain
 from hurstkit.errors import (
     ArgumentError,
     DegenerateSequenceError,
@@ -533,7 +533,7 @@ def test_tta_validation():
 )
 def test_threaded_scale_map_matches_serial(monkeypatch, runner, mapped):
     # four workers even on one CPU, so the threaded branch runs everywhere
-    monkeypatch.setattr(timedomain, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 4)
     threads = set()
     scale_map = timedomain._map_scales
 

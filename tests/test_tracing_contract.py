@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hurstkit import harness, timedomain
+from hurstkit import _cpus, bench, harness, timedomain
 from hurstkit.generators import FgnSpec, gen_fgn
 from hurstkit.results import METHODS
 
@@ -50,11 +50,26 @@ def test_tracer_records_every_estimator_span(tracing):
         assert tracer.spans[parent][0].startswith("harness.estimate_series."), name
 
 
+def test_tracer_sees_a_serial_suite(tracing, monkeypatch):
+    # pooled paths run in worker processes the tracer never sees; with one
+    # usable CPU the suite runs in this process and every path is traced
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 1)
+    with tracing.Tracer() as tracer:
+        bench.run_fgn_suite(h_values=(0.5, 0.7), replicates=2, length=3000)
+
+    bodies = [(name, parent) for name, _, _, parent, _ in tracer.spans
+              if name in tracing.BODIES]
+    assert collections.Counter(name for name, _ in bodies) == (
+        collections.Counter(tracing.BODIES * 4))
+    for name, parent in bodies:
+        assert tracer.spans[parent][0].startswith("harness.estimate_series."), name
+
+
 def test_traced_names_run_on_the_calling_thread(tracing, monkeypatch):
     # the tracer keeps one span stack: with the scale map forced onto worker
     # threads, every traced name must still be called from the main thread
     monkeypatch.setattr(timedomain, "_THREADED_MIN_SAMPLES", 0)
-    monkeypatch.setattr(timedomain, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 4)
     callers = []
     for module_name, attr, _ in tracing.TARGETS:
         module = importlib.import_module(module_name)

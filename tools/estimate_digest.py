@@ -37,7 +37,7 @@ import numpy as np
 
 from hurstkit import METHODS, FgnSpec, estimate_series, gen_fgn, gen_iid
 from hurstkit.generators import DISTRIBUTIONS
-from hurstkit.timedomain import _usable_cpus
+from hurstkit._cpus import usable_cpus
 
 OPTIONS = (
     {},
@@ -92,7 +92,7 @@ def main():
     # the longest series start first, so their slow tasks do not start last;
     # the records still print in grid order
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1].size)
-    with ProcessPoolExecutor(max_workers=_usable_cpus(),
+    with ProcessPoolExecutor(max_workers=usable_cpus(),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = {i: pool.submit(records, *tasks[i]) for i in order}
         for i in range(len(tasks)):

@@ -33,6 +33,7 @@ from .errors import ArgumentError, HurstkitError
 from .generators import (  # noqa: F401
     DISTRIBUTIONS,
     FgnSpec,
+    _check_count,
     _draw_fgn,
     _embedding_amplitudes,
     gen_fgn,
@@ -188,8 +189,9 @@ def _add_cells(report, label, outcomes, h_true):
 
 def run_random_suite(replicates=10, length=10000, seed=42, config=None):
     """Six iid noise families x thirteen methods, all nominally H=0.5."""
-    if replicates < 1:
-        raise ArgumentError(f"need at least 1 replicate, got {replicates}")
+    _check_count("replicates", replicates, 1)
+    _check_count("length", length, 1)  # gen_iid's rules
+    _check_count("seed", seed, 0)
     _settings(config or {})  # a bad option fails before any path is drawn
     report = BenchReport("random", length, replicates, seed)
     tasks = ((gen_iid, (dist, length, seed + i))
@@ -206,16 +208,20 @@ def run_fgn_suite(h_values=DEFAULT_H_GRID, replicates=10, length=30000,
     """Fractional-noise accuracy grid over the requested H values.
 
     Each H is labelled by ``f"{h:.4g}"``; two values with the same label
-    are an ArgumentError.
+    are an ArgumentError.  Each H, with `length` and `seed`, is checked as
+    its FgnSpec checks it.
     """
-    if replicates < 1:
-        raise ArgumentError(f"need at least 1 replicate, got {replicates}")
-    h_values = [float(h) for h in h_values]
-    for h in h_values:
-        if not 0.0 < h < 1.0:
-            raise ArgumentError(f"target H must lie in (0,1), got {h}")
+    _check_count("replicates", replicates, 1)
+    _check_count("seed", seed, 0)
+    try:
+        h_values = list(h_values)
+    except TypeError:
+        raise ArgumentError(
+            f"h_values must be a sequence of target H values, got {h_values!r}"
+        ) from None
     labels = {}
     for h in h_values:
+        h = float(FgnSpec(h, length, seed).hurst)
         label = f"{h:.4g}"
         if label in labels:
             raise ArgumentError(

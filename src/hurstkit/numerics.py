@@ -53,10 +53,16 @@ def lad_lines(t, z):
     Pivot descent (Wesolowsky 1981): the best line through a data point p
     has the lower weighted median of the slopes (z_j - z_p) / (t_j - t_p),
     weights |t_j - t_p|.  A row starts at the point nearest median(t) and
-    pivots on each point of its line (residual within the rounding of its
-    terms) until none gives a better line or the fit is exact.  Tie rule: a
-    gain must beat the rounding, new < cost * (1 - m*eps) for m points, so a
-    flat optimum keeps the first optimal line met: the result is deterministic.
+    pivots on each point of its line until none gives a better line or the
+    fit is exact.  The line through p and q holds a point j when its
+    residual is at most 4*eps*(|z_j| + |z_p| + |slope dt_j| + (|z_q| +
+    |z_p|) |dt_j / dt_q|), dt = t - t_p: twice the rounding of the operands
+    (the last term is the slope's, carried out to t_j), not only of their
+    differences, which leaves room for the rounding z brings from its own
+    computation.  So points collinear before rounding, as integer data make
+    them, are all tried as pivots.  Tie rule: a gain must beat the rounding,
+    new < cost * (1 - m*eps) for m points, so a flat optimum keeps the first
+    optimal line met: the result is deterministic.
     """
     k, m = z.shape
     eps = np.finfo(float).eps
@@ -67,19 +73,26 @@ def lad_lines(t, z):
     while live.size:
         p = pivot[live][:, None]
         dt = t - t[p]
-        dz = z[live] - np.take_along_axis(z[live], p, axis=1)
+        zj = z[live]
+        zp = np.take_along_axis(zj, p, axis=1)
+        dz = zj - zp
         slopes = dz / np.where(dt == 0.0, np.nan, dt)  # weight 0 where NaN
         order = np.argsort(slopes, axis=1)
         cum = np.cumsum(np.take_along_axis(np.abs(dt), order, axis=1), axis=1)
         at = (cum < 0.5 * cum[:, -1:]).sum(axis=1, keepdims=True)
-        slope = np.take_along_axis(slopes, np.take_along_axis(order, at, 1), 1)
+        q = np.take_along_axis(order, at, 1)  # the line runs through p and q
+        slope = np.take_along_axis(slopes, q, 1)
         resid = np.abs(dz - slope * dt)
         new = resid.sum(axis=1)
         gain = new < cost[live] * (1.0 - m * eps)
         rows = live[gain]
         a[rows] = z[rows, pivot[rows]] - slope[gain, 0] * t[pivot[rows]]
         b[rows], cost[rows] = slope[gain, 0], new[gain]
-        todo[rows] = (resid <= 2 * eps * (np.abs(dz) + np.abs(slope * dt)))[gain]
+        zq, dtq = np.take_along_axis(zj, q, 1), np.take_along_axis(dt, q, 1)
+        reach = np.abs(dt / dtq)  # the slope's rounding grows with it
+        rounding = (np.abs(zj) + np.abs(zp) + np.abs(slope * dt)
+                    + (np.abs(zq) + np.abs(zp)) * reach)
+        todo[rows] = (resid <= 4 * eps * rounding)[gain]
         todo[live, p[:, 0]] = False
         pivot[live] = np.argmax(todo[live], axis=1)
         live = live[todo[live, pivot[live]] & (cost[live] > 0.0)]

@@ -18,6 +18,8 @@ validates and demeans it once, and `shared` keeps what the estimators build
 from it (a partition, a profile, a periodogram) for the next one to read.
 """
 
+import reprlib
+
 import numpy as np
 
 from .errors import ArgumentError, InsufficientDataError, NoPartitionError
@@ -26,8 +28,20 @@ DEFAULT_ALPHA = 0.99
 
 
 def as_series(x):
-    """Validate and return a 1-D float64 array (length >= 2, finite)."""
-    arr = np.asarray(x, dtype=float)
+    """Validate and return a 1-D float64 array (length >= 2, finite).
+
+    Values that are not real numbers (a string that is not a number, an
+    object, a complex value, complex array included) are an ArgumentError
+    naming the input.
+    """
+    try:
+        if getattr(getattr(x, "dtype", None), "kind", None) == "c":
+            raise TypeError  # numpy would drop the imaginary part, warning
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ArgumentError(
+            f"expected a series of real numbers, got {reprlib.repr(x)}"
+        ) from None
     if arr.ndim != 1:
         arr = arr.squeeze()
         if arr.ndim != 1:

@@ -1,9 +1,9 @@
 """Spectrum-domain Hurst estimators: periodogram, wavelet, full-band Whittle.
 
-pm and lw read one periodogram (_periodogram), taken with a real-input FFT
-and built once for both on a partition.PreparedSeries; every estimator here
-starts from partition.demeaned with a floor of 100 (pm, lw) or 64 (awc, vvl)
-samples.
+pm and lw read one periodogram (_periodogram), frequencies and powers from
+a real-input FFT, built once for both on a partition.PreparedSeries; every
+estimator here starts from partition.demeaned with a floor of 100 (pm, lw)
+or 64 (awc, vvl) samples.
 """
 
 import math
@@ -25,7 +25,8 @@ _LW_TOL = 1e-8
 
 
 def _periodogram(x):
-    """N and |X_j|^2 for j = 1..floor(N/2) of the demeaned series.
+    """Frequencies j/N and powers |X_j|^2, j = 1..floor(N/2), of the demeaned
+    series.
 
     The bins come from np.fft.rfft, which never holds a complex copy of the
     series.  A bin whose real and imaginary parts are both at most
@@ -36,38 +37,34 @@ def _periodogram(x):
     """
     arr = demeaned(x, 100)
 
-    def power():
+    def build():
         bins = np.fft.rfft(arr)[1 : arr.size // 2 + 1]
         tol = math.log2(arr.size) * np.finfo(float).eps * np.abs(arr).sum()
         noise = (np.abs(bins.real) <= tol) & (np.abs(bins.imag) <= tol)
         squares = bins.real**2
         squares += bins.imag**2
         squares[noise] = 0.0
-        return squares
+        return np.arange(1, squares.size + 1) / arr.size, squares
 
-    return arr.size, shared(x, "periodogram", power)
+    return shared(x, "periodogram", build)
 
 
 def est_pm(x, f_cutoff=DEFAULT_CUTOFF, flag=2):
     """Periodogram (log-periodogram regression) estimator.
 
-    Regresses ln I(k) on ln[4 sin^2(f/2)] over the low-frequency bins
-    f = k/N <= f_cutoff for k = 2..floor(N/2) (DC excluded); H = 1/2 - slope.
+    Regresses ln I(f) on ln[4 sin^2(pi f)] over the periodogram frequencies
+    f = j/N <= f_cutoff, j >= 1 (Geweke & Porter-Hudak 1983, at the angular
+    frequency 2 pi f); H = 1/2 - slope.
     """
-    n, power = _periodogram(x)
-    k = np.arange(2, n // 2 + 1)
-    freq = k / n
+    freq, power = _periodogram(x)
     keep = freq <= f_cutoff
     if keep.sum() < 2:
         raise CutoffTooSmallError(
-            f"cutoff {f_cutoff} keeps {int(keep.sum())} of {k.size} bins; "
+            f"cutoff {f_cutoff} keeps {int(keep.sum())} of {freq.size} bins; "
             f"need at least 2"
         )
-    scales = 4.0 * np.sin(freq[keep] / 2.0) ** 2
-    power = power[:-1][keep] / n  # bin k-1 pairs with frequency k/n
-
-    return fit_result("pm", scales, power, flag,
-                      {"cutoff": f_cutoff, "norm": flag},
+    return fit_result("pm", 4.0 * np.sin(np.pi * freq[keep]) ** 2, power[keep],
+                      flag, {"cutoff": f_cutoff, "norm": flag},
                       offset=0.5, divisor=-1.0)
 
 
@@ -130,9 +127,7 @@ def est_lw(x):
     Uses all floor(N/2) positive frequencies j/N with powers |X^(j)|^2; the
     known downward bias at small H is inherent to this full-band variant.
     """
-    n, power = _periodogram(x)
-    j = np.arange(1, n // 2 + 1)
-    data = LwObjectiveData(j / n, power)
+    data = LwObjectiveData(*_periodogram(x))
 
     hurst = loc_min_solve(obj_fun_lw, *_LW_BRACKET, _LW_TOL, params=(data,))
     return build_result(
@@ -140,6 +135,6 @@ def est_lw(x):
         hurst,
         {},
         residual_norm=None,
-        n_points=int(j.size),
+        n_points=int(data.frequencies.size),
         objective=obj_fun_lw(hurst, data),
     )

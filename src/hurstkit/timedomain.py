@@ -259,14 +259,15 @@ def _detrended_stds(segments, flag):
 def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     """Detrended fluctuation analysis; H is the slope itself.
 
-    Each size-m segment of the cumulative-bias profile is detrended by an
-    affine fit in the flag-selected norm; S(m) averages the per-segment
-    residual stds.  Segments detrended exactly (zero residual) are dropped;
-    a scale losing all its segments is a degenerate series.  Note m=2
-    always detrends exactly, so DFA needs w >= 3 in practice.
+    Each size-m segment of the prefix of the profile ghe, hm and tta read
+    is detrended by an affine fit in the flag-selected norm; S(m) averages
+    the per-segment residual stds.  Segments detrended exactly (zero
+    residual) are dropped; a scale losing all its segments is a degenerate
+    series, such as a 0/1 step.  Note m=2 always detrends exactly, so DFA
+    needs w >= 3 in practice.
     """
     arr, n_opt, factors = _partitioned(x, w)
-    z = cumulative_bias(arr[:n_opt])
+    z = shared(x, "profile", lambda: cumulative_bias(arr))[:n_opt]
 
     def scale_stat(m):
         stds = _detrended_stds(z.reshape(n_opt // m, m), flag)
@@ -284,20 +285,17 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
 def expected_rs(m):
     """Anis-Lloyd-Peters expectation of the R/S statistic for white noise.
 
-    Exact Gamma-ratio form up to m = 340 — the largest argument there is
-    Gamma(170) ~ 4e304, still inside double range, and the direct ratio is
-    both exact at m=2 (0.75) and ~2 ulp accurate, unlike the exp(lgamma)
-    detour.  Beyond 340 the sqrt(2/(pi m)) asymptotic takes over.  m >= 2.
+    Exact for every m >= 2: the Gamma ratio Gamma((m-1)/2) / (sqrt(pi)
+    Gamma(m/2)) is the product r(m) = r(m-2) (m-3)/(m-2), r(2) = 1,
+    r(3) = 2/pi, taken as exp of a sum of log1p terms: 0.75 at m = 2 and
+    within a few ulps at any m, where Gamma itself overflows past m = 343.
     """
+    k = np.arange(m, 3, -2)
+    ratio = (1.0, 2.0 / math.pi)[m % 2] * math.exp(
+        np.sum(np.log1p(-1.0 / (k - 2.0))))
     i = np.arange(1, m)
     tail = float(np.sum(np.sqrt((m - i) / i)))
-    lead = (m - 0.5) / m
-    if m <= 340:
-        ratio = math.gamma((m - 1) / 2.0) / (
-            math.sqrt(math.pi) * math.gamma(m / 2.0)
-        )
-        return lead * ratio * tail
-    return lead * math.sqrt(2.0 / (math.pi * m)) * tail
+    return (m - 0.5) / m * ratio * tail
 
 
 def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):

@@ -380,13 +380,17 @@ def test_non_finite_estimate_is_data_error():
     step = np.r_[np.zeros(5000), np.ones(5000)]
     with pytest.raises(NonConvergenceError, match="^lssd: iteration left the reals"):
         estimate_series(step, "lssd")
-    # a finite estimate outside (0, 1) is only flagged
-    res = estimate_series(step, "dfa")
-    assert res.hurst > 1.0 and res.diagnostics["out_of_range"] is True
-    # every other bin of its periodogram is exactly 0 and drops out
+    # a finite estimate outside (0, 1) is only flagged: every other bin of
+    # the step's periodogram is exactly 0 and drops out, and the odd bins
+    # are 1/sin^2(pi j/N) exactly, the line of slope -1 on the GPH grid
     res = estimate_series(step, "pm")
-    assert res.hurst > 1.0 and res.diagnostics["out_of_range"] is True
-    assert res.diagnostics["excluded_segments"] == 499
+    assert res.hurst == pytest.approx(1.5, abs=1e-12)
+    assert res.diagnostics["out_of_range"] is True
+    assert res.diagnostics["excluded_segments"] == 500
+    # its profile is linear in every segment: dfa has nothing to fit
+    with pytest.raises(DegenerateSequenceError,
+                       match="^dfa: every segment of size 50 detrends exactly"):
+        estimate_series(step, "dfa")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -534,6 +538,44 @@ def test_fgn_suite_rows_and_errors():
         run_fgn_suite(h_values=(1.5,), replicates=1, length=4000, seed=1)
     with pytest.raises(ArgumentError):
         run_fgn_suite(h_values=(0.5,), replicates=0, length=4000, seed=1)
+
+
+@pytest.mark.parametrize("suite", [run_fgn_suite, run_random_suite])
+@pytest.mark.parametrize("runs, name", [
+    ({"replicates": 2.5}, "replicates"),
+    ({"replicates": "3"}, "replicates"),
+    ({"replicates": True}, "replicates"),
+    ({"replicates": 0}, "replicates"),
+    ({"seed": "1"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"length": 1.5}, "length"),
+])
+def test_suite_checks_runs_before_drawing_a_path(suite, runs, name,
+                                                 monkeypatch):
+    def drew(*args):
+        raise AssertionError("a path was drawn under invalid arguments")
+
+    for attr in ("_draw_fgn", "_embedding_amplitudes", "gen_iid"):
+        monkeypatch.setattr(hurstkit.bench, attr, drew)
+    # serially: a pool could not pickle `drew`
+    monkeypatch.setattr(hurstkit._cpus, "usable_cpus", lambda: 1)
+    with pytest.raises(ArgumentError, match=f"^{name} must be"):
+        suite(**{"replicates": 1, "length": 1000, **runs})
+
+
+@pytest.mark.parametrize("h_values, match", [
+    (0.5, "^h_values must be a sequence"),
+    (["0.5"], "^hurst must be a real number, got '0.5'"),
+    ((0.5, 1.5), "^hurst must be a finite number in \\(0, 1\\), got 1.5"),
+    ((0.5, float("nan")), "^hurst must be a finite number"),
+    ((0.5,), "^length must be >= 2"),
+])
+def test_fgn_suite_checks_each_target_as_fgn_spec(h_values, match,
+                                                  monkeypatch):
+    monkeypatch.setattr(hurstkit.bench, "_embedding_amplitudes", None)
+    length = 1 if match.startswith("^length") else 1000
+    with pytest.raises(ArgumentError, match=match):
+        run_fgn_suite(h_values=h_values, replicates=1, length=length)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 from hurstkit import estimate_series
 from hurstkit.errors import DomainError, NonConvergenceError
-from hurstkit.generators import FgnSpec, gen_fgn
+from hurstkit.generators import FgnSpec, gen_fgn, gen_iid
 from hurstkit.numerics import (
     fit_power_law,
     fixed_point_solve,
@@ -157,6 +157,39 @@ def test_batched_lad_rows_match_single_rows_and_are_exact(source):
             assert stds[row] == resid.std(ddof=1)
             obj = np.abs(resid).sum()
             assert obj <= exact_lad(A, segments[row]) * (1.0 + 1e-12) + 1e-12
+
+
+def pair_line_costs(t, z):
+    """Least l1 cost of each row of z over the lines through two of its
+    points, which include an optimal one (brute force, 50 rows at a time)."""
+    i, j = np.triu_indices(t.size, 1)
+    best = []
+    for rows in np.array_split(z, max(1, z.shape[0] // 50)):
+        b = (rows[:, j] - rows[:, i]) / (t[j] - t[i])
+        a = rows[:, i] - b * t[i]
+        fitted = a[:, :, None] + b[:, :, None] * t
+        best.append(np.abs(rows[:, None, :] - fitted).sum(axis=2).min(axis=1))
+    return np.concatenate(best)
+
+
+@pytest.mark.parametrize("family, m", [("poisson", 10), ("poisson", 20),
+                                       ("poisson", 50), ("geometric", 10),
+                                       ("geometric", 20)])
+def test_lad_lines_optimal_on_integer_data_profiles(family, m):
+    # an integer series makes profile points collinear up to rounding; a
+    # tolerance with only the rounding of the differences missed them as
+    # pivots and stopped on lines up to 53 % above the optimum
+    x = gen_iid(family, 10000, 7)
+    v = x - x.mean()
+    n_opt, _ = search_opt_seq_len(v.size, 50)
+    t = np.arange(1.0, m + 1.0)
+    # dfa's profile, and the profile of its partitioned prefix alone
+    for z in (cumulative_bias(v), cumulative_bias(v[:n_opt])):
+        z = z[: z.size // m * m].reshape(-1, m)
+        a, b = lad_lines(t, z)
+        cost = np.abs(z - (a[:, None] + b[:, None] * t)).sum(axis=1)
+        best = pair_line_costs(t, z)
+        assert np.all(cost <= best * (1.0 + 1e-12))
 
 
 def test_l1_estimates_move_less_than_rounding_under_a_one_ulp_shift():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hurstkit import estimate_series
 from hurstkit.errors import (
     ArgumentError,
     InsufficientDataError,
@@ -80,6 +81,18 @@ def test_as_series_rejects_short_and_multidim():
 def test_as_series_names_nonfinite_index():
     with pytest.raises(ArgumentError, match="2"):
         as_series([1.0, 2.0, np.nan, 4.0])
+
+
+@pytest.mark.parametrize("value", ["abc", ["1", "2", "x"], [1 + 2j, 3.0],
+                                   np.array([1 + 1j, 2.0]), object()],
+                         ids=["str", "str-list", "complex-list",
+                              "complex-array", "object"])
+def test_as_series_names_non_numeric_input(value):
+    with pytest.raises(ArgumentError,
+                       match="^expected a series of real numbers, got "):
+        as_series(value)
+    with pytest.raises(ArgumentError, match="^pm: expected a series of real"):
+        estimate_series(value, "pm")
 
 
 # --------------------------------------------------------------- debiasing

@@ -102,9 +102,9 @@ def test_kept_intermediates_are_read_only():
     for method in METHODS:
         estimate_series(prepared, method)
     kept = list(_arrays(tuple(prepared._cache.values())))
-    # the series, the demeaned series, the profile, the periodogram and the
-    # block-sum scales and statistics
-    assert len(kept) == 6
+    # the series, the demeaned series, the profile, the periodogram's
+    # frequencies and powers and the block-sum scales and statistics
+    assert len(kept) == 7
     assert not any(arr.flags.writeable for arr in kept)
     assert all(type(value) is not list for value in prepared._cache.values())
     assert x.flags.writeable  # the caller's array keeps its flags

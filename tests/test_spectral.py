@@ -41,21 +41,22 @@ def test_pm_matches_independent_oracle():
         n = v.size
         spec = np.fft.fft(v)
         scales, power = [], []
-        for k in range(2, n // 2 + 1):
-            f = k / n
-            if f <= 0.1:
-                scales.append(4.0 * np.sin(f / 2.0) ** 2)
-                power.append(abs(spec[k - 1]) ** 2 / n)
+        for j in range(1, n // 2 + 1):
+            lam = 2.0 * np.pi * j / n  # GPH: bin j at angular frequency lam
+            if j / n <= 0.1:
+                scales.append(4.0 * np.sin(lam / 2.0) ** 2)
+                power.append(abs(spec[j]) ** 2 / (2.0 * np.pi * n))
         slope = np.polyfit(np.log(scales), np.log(power), 1)[0]
         want = 0.5 - slope
         assert est_pm(x, 0.1, 2).hurst == pytest.approx(want, abs=1e-9)
 
 
 def dft_periodogram(x):
-    """N and |X_j|^2, j = 1..floor(N/2), from the complex reference DFT."""
+    """j/N and |X_j|^2, j = 1..floor(N/2), from the complex reference DFT."""
     arr = demeaned(x, 100)
-    bins = dft(arr)[1 : arr.size // 2 + 1]
-    return arr.size, bins.real**2 + bins.imag**2
+    j = np.arange(1, arr.size // 2 + 1)
+    bins = dft(arr)[j]
+    return j / arr.size, bins.real**2 + bins.imag**2
 
 
 def spectral_inputs(n):
@@ -66,9 +67,10 @@ def spectral_inputs(n):
 def test_periodogram_matches_reference_dft(n):
     # the real-input FFT gives the complex DFT's bins to rounding
     for _, x in spectral_inputs(n):
-        size, got = _periodogram(x)
-        _, want = dft_periodogram(x)
-        assert size == n and got.shape == want.shape == (n // 2,)
+        freq, got = _periodogram(x)
+        want_freq, want = dft_periodogram(x)
+        assert np.array_equal(freq, want_freq) and freq[-1] == n // 2 / n
+        assert got.shape == want.shape == (n // 2,)
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
@@ -92,7 +94,7 @@ def test_periodogram_rounding_level_bins_are_zero():
     _, power = _periodogram(alternating)
     assert np.count_nonzero(power) == 1 and power[-1] > 0
     with pytest.raises(DegenerateSequenceError,
-                       match="^pm: the scale statistic is 0 at 999 of 999"):
+                       match="^pm: the scale statistic is 0 at 1000 of 1000"):
         estimate_series(alternating, "pm")
     # a 0/1 step: every even bin is 0
     _, power = _periodogram(np.r_[np.zeros(5000), np.ones(5000)])
@@ -101,8 +103,8 @@ def test_periodogram_rounding_level_bins_are_zero():
 
 def test_pm_point_count_and_config():
     res = est_pm(rand_series(4, 200), 0.1, 2)
-    # k = 2..20 satisfy k/200 <= 0.1
-    assert res.diagnostics["n_points"] == 19
+    # j = 1..20 satisfy j/200 <= 0.1
+    assert res.diagnostics["n_points"] == 20
     assert res.config == {"cutoff": 0.1, "norm": 2}
 
 

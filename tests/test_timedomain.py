@@ -390,7 +390,7 @@ def test_expected_rs_m2_exact():
 
 def test_expected_rs_against_mpmath():
     mpmath.mp.dps = 50
-    for m in (2, 3, 10, 50, 200, 340, 341, 500, 1000):
+    for m in (2, 3, 4, 10, 50, 200, 340, 341, 343, 344, 500, 1000, 5001, 20000):
         tail = mpmath.fsum(mpmath.sqrt(mpmath.mpf(m - i) / i) for i in range(1, m))
         exact = (
             (m - mpmath.mpf("0.5"))
@@ -399,23 +399,12 @@ def test_expected_rs_against_mpmath():
             / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(m) / 2))
             * tail
         )
-        if m <= 340:
-            assert expected_rs(m) == pytest.approx(float(exact), rel=1e-10)
-        else:
-            # the asymptotic replaces Gamma((m-1)/2)/Gamma(m/2) by sqrt(2/m),
-            # which undershoots the exact value by ~3/(4m); 0.22% at m=341
-            assert float(exact) > expected_rs(m) == pytest.approx(
-                float(exact), rel=3e-3
-            )
+        assert expected_rs(m) == pytest.approx(float(exact), rel=1e-13)
 
 
-def test_expected_rs_monotone_within_branches():
-    vals = {m: expected_rs(m) for m in range(2, 1001)}
-    assert all(vals[m + 1] > vals[m] for m in range(2, 340))
-    assert all(vals[m + 1] > vals[m] for m in range(341, 1000))
-    # the branch switch itself steps *down* by the asymptotic's ~3/(4m)
-    # deficit; it is continuous to well under 1%
-    assert vals[340] > vals[341] > vals[340] * 0.99
+def test_expected_rs_strictly_increasing():
+    vals = [expected_rs(m) for m in range(2, 1001)]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_rs_matches_independent_oracle():

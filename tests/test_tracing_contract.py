@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hurstkit import _cpus, bench, harness, timedomain
+from hurstkit import _cpus, bench, cli, generators, harness, timedomain
 from hurstkit.generators import FgnSpec, gen_fgn
 from hurstkit.results import METHODS
 
@@ -86,3 +86,51 @@ def test_traced_names_run_on_the_calling_thread(tracing, monkeypatch):
             harness.estimate_series(x, method, norm=norm)
     assert callers
     assert set(callers) == {threading.main_thread()}
+
+
+# traced names that nothing in the package calls: each is a module-level
+# import kept so that its trace target resolves
+NEVER_CALLED = {
+    ("hurstkit.aggregation", "as_series"),  # only block_sum_std reaches it
+    ("hurstkit.bench", "gen_fgn"),
+    ("hurstkit.spectral", "as_series"),
+    ("hurstkit.spectral", "dft"),
+    ("hurstkit.spectral", "linear_regr_solver"),
+    ("hurstkit.timedomain", "as_series"),
+    ("hurstkit.timedomain", "linear_regr_solver"),
+    ("hurstkit.timedomain", "seq_partition"),
+}
+
+
+def test_trace_targets_never_called_are_the_known_ones(tracing, monkeypatch,
+                                                        tmp_path, capsys):
+    # every public path perfbench times, called through its module as
+    # perfbench calls it: a target outside NEVER_CALLED that stops being
+    # called, or one inside it that starts, fails here
+    called = set()
+    for module_name, attr, _ in tracing.TARGETS:
+        module = importlib.import_module(module_name)
+
+        def recorder(*args, _key=(module_name, attr),
+                     _original=getattr(module, attr), **kwargs):
+            called.add(_key)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recorder)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 1)
+
+    path = str(tmp_path / "p.txt")
+    assert cli.main(["gen-fgn", "--hurst", "0.7", "--length", "3000",
+                     "--seed", "1", "--output", path]) == 0
+    x = harness.read_series(path)
+    generators.gen_fgn(FgnSpec(0.7, 3000, 2))
+    for method in METHODS:
+        for norm in (1, 2):
+            harness.estimate_series(x, method, norm=norm)
+    bench.run_fgn_suite(h_values=(0.7,), replicates=1, length=3000)
+    bench.run_random_suite(replicates=1, length=3000)
+    assert cli.main(["estimate", "--input", path, "--method", "dfa"]) == 0
+    capsys.readouterr()
+
+    targets = {(module_name, attr) for module_name, attr, _ in tracing.TARGETS}
+    assert targets - called == NEVER_CALLED

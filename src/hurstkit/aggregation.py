@@ -143,17 +143,13 @@ class BlockSumContext:
     lsv_b1: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=float).reshape(-1)
-        stats = np.asarray(self.stats, dtype=float).reshape(-1)
-        weight = scales**self.weight_p
-        log_scales = np.log(scales)
-        stats_sq = stats**2
+        weight = self.scales**self.weight_p
+        log_scales = np.log(self.scales)
+        stats_sq = self.stats**2
         for name, value in (
-            ("scales", scales),
-            ("stats", stats),
             ("weight", weight),
             ("log_scales", log_scales),
-            ("log_stats", np.log(stats)),
+            ("log_stats", np.log(self.stats)),
             ("lssd_a11", np.sum(1.0 / weight)),
             ("lssd_a12", np.sum(log_scales / weight)),
             ("stats_sq", stats_sq),
@@ -240,7 +236,7 @@ def est_lssd(x, p=DEFAULT_WEIGHT_P, q=DEFAULT_PENALTY_Q, eps=DEFAULT_EPSILON):
     point escapes the interval; the raw value then appears in diagnostics.
     """
     ctx, excluded = _block_context(x, p, q)
-    raw = fixed_point_solve(ctm_lssd, 0.5, eps, params=(ctx,))
+    raw = fixed_point_solve(lambda h: ctm_lssd(h, ctx), 0.5, eps)
     residual = abs(ctm_lssd(raw, ctx) - raw)
 
     hurst = clip_hurst(raw)
@@ -268,7 +264,7 @@ def est_lsv(x, p=DEFAULT_LSV_WEIGHT_P, q=DEFAULT_PENALTY_Q, eps=DEFAULT_EPSILON)
     about +/-0.005 across H in [0.3, 0.8]; with p=2 it wanders by ~0.05.
     """
     ctx, excluded = _block_context(x, p, q)
-    hurst = loc_min_solve(obj_fun_lsv, 0.001, 0.999, eps, params=(ctx,))
+    hurst = loc_min_solve(lambda h: obj_fun_lsv(h, ctx), 0.001, 0.999, eps)
     return build_result(
         "lsv",
         hurst,

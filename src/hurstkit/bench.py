@@ -137,16 +137,34 @@ def _path_outcomes(draw, args, config):
     return outcomes
 
 
-def _run_paths(tasks, n_paths, config):
+_pool_work = None  # a pool worker's (tasks, config), set by _adopt
+
+
+def _adopt(tasks, config):
+    global _pool_work
+    _pool_work = tasks, config
+
+
+def _outcomes_at(i):
+    """_path_outcomes for task i of the (tasks, config) the worker adopted."""
+    tasks, config = _pool_work
+    draw, args = tasks[i]
+    return _path_outcomes(draw, args, config)
+
+
+def _run_paths(tasks, config):
     """[_path_outcomes(draw, args, config) for (draw, args) in tasks].
 
-    The paths run on a pool of min(usable CPUs, n_paths) forked processes,
-    each of which draws its own paths, or in the calling process when that
-    is 1 or the platform cannot fork.  The outcomes come back in task order.
-    An exception other than a HurstkitError reaches the caller and cancels
-    the paths not yet started; no worker outlives the call.
+    The paths run on a pool of min(usable CPUs, len(tasks)) forked
+    processes, each of which draws its own paths, or in the calling process
+    when that is 1 or the platform cannot fork.  A worker inherits the task
+    list and config through fork, so nothing of a task is pickled (a draw
+    function defined inside another function runs as any other): only task
+    indices go out and outcomes come back, in task order.  An exception
+    other than a HurstkitError reaches the caller and cancels the paths not
+    yet started; no worker outlives the call.
     """
-    workers = min(_cpus.usable_cpus(), n_paths)
+    workers = min(_cpus.usable_cpus(), len(tasks))
     if workers < 2 or not hasattr(os, "fork"):
         return [_path_outcomes(draw, args, config) for draw, args in tasks]
     # imported here: `import hurstkit` and the serial path should not pay
@@ -156,11 +174,10 @@ def _run_paths(tasks, n_paths, config):
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(tasks, config))
     try:
-        futures = [pool.submit(_path_outcomes, draw, args, config)
-                   for draw, args in tasks]
-        return [future.result() for future in futures]
+        return list(pool.map(_outcomes_at, range(len(tasks))))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -194,9 +211,9 @@ def run_random_suite(replicates=10, length=10000, seed=42, config=None):
     _check_count("seed", seed, 0)
     _settings(config or {})  # a bad option fails before any path is drawn
     report = BenchReport("random", length, replicates, seed)
-    tasks = ((gen_iid, (dist, length, seed + i))
-             for dist in DISTRIBUTIONS for i in range(replicates))
-    outcomes = _run_paths(tasks, len(DISTRIBUTIONS) * replicates, config or {})
+    tasks = [(gen_iid, (dist, length, seed + i))
+             for dist in DISTRIBUTIONS for i in range(replicates)]
+    outcomes = _run_paths(tasks, config or {})
     for k, dist in enumerate(DISTRIBUTIONS):
         _add_cells(report, dist,
                    outcomes[k * replicates:(k + 1) * replicates], WHITE_NOISE_H)
@@ -232,14 +249,12 @@ def run_fgn_suite(h_values=DEFAULT_H_GRID, replicates=10, length=30000,
     _settings(config or {})  # a bad option fails before any path is drawn
     report = BenchReport("fgn", length, replicates, seed)
 
-    def tasks():
-        for h in labels.values():
-            specs = [FgnSpec(h, length, seed + i) for i in range(replicates)]
-            amp = _embedding_amplitudes(h, length)  # one embedding per H
-            for spec in specs:
-                yield _draw_fgn, (spec, amp)
-
-    outcomes = _run_paths(tasks(), len(labels) * replicates, config or {})
+    tasks = []
+    for h in labels.values():
+        amp = _embedding_amplitudes(h, length)  # one embedding per H
+        tasks += [(_draw_fgn, (FgnSpec(h, length, seed + i), amp))
+                  for i in range(replicates)]
+    outcomes = _run_paths(tasks, config or {})
     for k, (label, h) in enumerate(labels.items()):
         _add_cells(report, label,
                    outcomes[k * replicates:(k + 1) * replicates], h)

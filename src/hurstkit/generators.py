@@ -26,8 +26,17 @@ from .errors import ArgumentError, EmbeddingError
 #: relative tolerance for calling an embedding eigenvalue "negative"
 _EIG_TOL = 1e-9
 
-#: the i.i.d. families the benchmark draws from
-DISTRIBUTIONS = ("normal", "chisq", "geometric", "poisson", "exponential", "uniform")
+#: the i.i.d. families the benchmark draws from, name -> draw(rng, n), in
+#: the suites' row order
+_FAMILIES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "chisq": lambda rng, n: rng.chisquare(1, n),
+    "geometric": lambda rng, n: rng.geometric(0.25, n).astype(float),
+    "poisson": lambda rng, n: rng.poisson(5.0, n).astype(float),
+    "exponential": lambda rng, n: rng.exponential(1.0, n),
+    "uniform": lambda rng, n: rng.uniform(0.0, 1.0, n),
+}
+DISTRIBUTIONS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -81,24 +90,13 @@ def gen_iid(name, length, seed):
     """
     _check_count("length", length, 1)
     _check_count("seed", seed, 0)
-    rng = _rng(seed)
-    if name == "normal":
-        out = rng.standard_normal(length)
-    elif name == "chisq":
-        out = rng.chisquare(1, length)
-    elif name == "geometric":
-        out = rng.geometric(0.25, length).astype(float)
-    elif name == "poisson":
-        out = rng.poisson(5.0, length).astype(float)
-    elif name == "exponential":
-        out = rng.exponential(1.0, length)
-    elif name == "uniform":
-        out = rng.uniform(0.0, 1.0, length)
-    else:
+    try:
+        draw = _FAMILIES[name]
+    except (KeyError, TypeError):
         raise ArgumentError(
             f"unknown distribution {name!r}; choose one of {DISTRIBUTIONS}"
-        )
-    return np.asarray(out, dtype=float)
+        ) from None
+    return draw(_rng(seed), length)
 
 
 def fgn_autocorr(lag, hurst):

@@ -23,27 +23,6 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 class RegressionFit:
     intercept: float
     slope: float
-    norm_flag: int
-
-
-def format_power_law_data(x, y):
-    """Turn positive (x, y) pairs into the log-log regression system.
-
-    Returns (A, b) with rows A_i = (1, ln x_i) and b_i = ln y_i.  Any
-    non-finite or non-positive entry is a domain error naming the (1-based)
-    offending index.  `x` and `y` hold two or more pairs, not all x equal.
-    """
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    ya = np.asarray(y, dtype=float).reshape(-1)
-    for name, v in (("x", xa), ("y", ya)):
-        bad = np.flatnonzero(~(np.isfinite(v) & (v > 0)))
-        if bad.size:
-            i = int(bad[0])
-            value = float(v[i])
-            kind = "non-positive" if math.isfinite(value) else "non-finite"
-            raise DomainError(f"{kind} {name} entry at index {i + 1}: {value}")
-    A = np.column_stack([np.ones_like(xa), np.log(xa)])
-    return A, np.log(ya)
 
 
 def lad_lines(t, z):
@@ -101,35 +80,42 @@ def lad_lines(t, z):
 
 def linear_regr_solver(A, b, flag):
     """Fit b ~ A @ (intercept, slope), A = (1, t), in the flag-selected norm;
-    t takes two distinct values at least.
+    A and b are float arrays, t takes two distinct values at least.
 
     flag=2 : ordinary least squares (Moore-Penrose via SVD).
     flag=1 : the exact least-absolute-deviations line of lad_lines.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
     if flag == 2:
         coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     else:
         coef = np.ravel(lad_lines(A[:, 1], b[None, :]))
-    return RegressionFit(float(coef[0]), float(coef[1]), int(flag))
+    return RegressionFit(float(coef[0]), float(coef[1]))
 
 
 def fit_power_law(x, y, flag):
     """Fit ln y = intercept + slope * ln x in the flag-selected norm.
 
-    Returns (fit, l2 norm of the log-residuals); the slope fitter every
-    log-log estimator uses.
+    `x` and `y` are float arrays of two or more pairs, not all x equal, as
+    live_scales returns them; an entry that is not finite and positive is a
+    DomainError naming its (1-based) index.  Returns (fit, l2 norm of the
+    log-residuals); the slope fitter every log-log estimator uses.
     """
-    A, b = format_power_law_data(x, y)
-    fit = linear_regr_solver(A, b, flag)
-    resid = b - (fit.intercept + fit.slope * A[:, 1])
+    for name, v in (("x", x), ("y", y)):
+        bad = np.flatnonzero(~(np.isfinite(v) & (v > 0)))
+        if bad.size:
+            i = int(bad[0])
+            value = float(v[i])
+            kind = "non-positive" if math.isfinite(value) else "non-finite"
+            raise DomainError(f"{kind} {name} entry at index {i + 1}: {value}")
+    t, b = np.log(x), np.log(y)
+    fit = linear_regr_solver(np.column_stack([np.ones_like(t), t]), b, flag)
+    resid = b - (fit.intercept + fit.slope * t)
     return fit, float(np.sqrt(np.sum(resid * resid)))
 
 
-def _update(updater, guess, params, previous):
+def _update(updater, guess, previous):
     try:
-        return float(updater(guess, *params))
+        return float(updater(guess))
     except OverflowError:
         raise NonConvergenceError(
             f"iteration overflowed evaluating the update at {guess!r}",
@@ -137,16 +123,17 @@ def _update(updater, guess, params, previous):
         ) from None
 
 
-def fixed_point_solve(updater, x0, eps, params=()):
-    """Iterate x <- updater(x, *params) until successive iterates are closer
-    than `eps` (> 0); returns the last iterate.
+def fixed_point_solve(updater, x0, eps):
+    """Iterate x <- updater(x) until successive iterates are closer than
+    `eps` (> 0); returns the last iterate.  A caller binds its data into the
+    one-argument `updater`, as lambda h: phi(h, data).
 
     A budget of 10^4 steps guards divergence; blowing it, an iterate that
     is NaN or inf, or an overflow inside the update raises
     NonConvergenceError carrying the last two iterates.
     """
     guess = float(x0)
-    improved = _update(updater, guess, params, None)
+    improved = _update(updater, guess, None)
     steps = 1
     while True:
         if not math.isfinite(improved):
@@ -163,12 +150,13 @@ def fixed_point_solve(updater, x0, eps, params=()):
                 last=improved, previous=guess,
             )
         previous, guess = guess, improved
-        improved = _update(updater, guess, params, previous)
+        improved = _update(updater, guess, previous)
         steps += 1
 
 
-def loc_min_solve(f, lo, hi, tol, params=()):
-    """Brent's minimizer on [lo, hi]: golden-section bracketing with
+def loc_min_solve(f, lo, hi, tol):
+    """Brent's minimizer of the one-argument f on [lo, hi] (a caller binds
+    its data, as lambda h: psi(h, data)): golden-section bracketing with
     successive parabolic interpolation; never evaluates outside the interval.
 
     `tol` > 0 is the absolute positioning tolerance; the effective tolerance
@@ -177,7 +165,7 @@ def loc_min_solve(f, lo, hi, tol, params=()):
     rel = math.sqrt(np.finfo(float).eps)
     a, b = float(lo), float(hi)
     x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = float(f(x, *params))
+    fx = fw = fv = float(f(x))
     evals = 1
     d = e = 0.0
 
@@ -216,7 +204,7 @@ def loc_min_solve(f, lo, hi, tol, params=()):
                 f"minimizer budget of {_BRENT_BUDGET} evaluations exhausted",
                 last=u, previous=x,
             )
-        fu = float(f(u, *params))
+        fu = float(f(u))
         evals += 1
 
         if fu <= fx:

@@ -116,11 +116,12 @@ def demeaned(x, min_length=2):
 def cumulative_bias(x):
     """Mean-adjusted running sums: Y_i = sum_{j<=i} (x_j - mean(x)).
 
-    Computed as cumsum(x) - i*mean so the final element telescopes to zero up
-    to a couple of ulps regardless of length (the two terms share the final
+    `x` is a validated float array, as demeaned returns it.  Computed as
+    cumsum(x) - i*mean so the final element telescopes to zero up to a
+    couple of ulps regardless of length (the two terms share the final
     rounding of the total sum).
     """
-    c = np.cumsum(as_series(x))
+    c = np.cumsum(x)
     n = c.size
     mean = c[-1] / n
     return c - mean * np.arange(1, n + 1)
@@ -128,7 +129,7 @@ def cumulative_bias(x):
 
 def sample_std(x):
     """Unbiased (n-1) standard deviation of two or more samples."""
-    return float(np.asarray(x, dtype=float).std(ddof=1))
+    return float(np.std(x, ddof=1))
 
 
 def gen_sbpf(a, w):

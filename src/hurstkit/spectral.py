@@ -89,7 +89,7 @@ def est_dwt(x, r=1, flag=2):
             stats.append(float(stat))
     return fit_result("awc" if r == 1 else "vvl", scales, stats, flag,
                       {"r": r, "norm": flag}, offset=0.5, divisor=r,
-                      excluded_segments=dec.levels - len(scales))
+                      excluded_segments=len(dec.details) - len(scales))
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,8 @@ class LwObjectiveData:
     mean_log_frequency: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        freq = np.asarray(self.frequencies, dtype=float).reshape(-1)
-        pwr = np.asarray(self.power, dtype=float).reshape(-1)
-        object.__setattr__(self, "frequencies", freq)
-        object.__setattr__(self, "power", pwr)
-        object.__setattr__(self, "mean_log_frequency", np.mean(np.log(freq)))
+        object.__setattr__(self, "mean_log_frequency",
+                           np.mean(np.log(self.frequencies)))
 
 
 def obj_fun_lw(hurst, data):
@@ -129,7 +126,7 @@ def est_lw(x):
     """
     data = LwObjectiveData(*_periodogram(x))
 
-    hurst = loc_min_solve(obj_fun_lw, *_LW_BRACKET, _LW_TOL, params=(data,))
+    hurst = loc_min_solve(lambda h: obj_fun_lw(h, data), *_LW_BRACKET, _LW_TOL)
     return build_result(
         "lw",
         hurst,

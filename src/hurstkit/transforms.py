@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError
-
 HAAR_LOWPASS = (0.7071067811865476, 0.7071067811865476)
 
 DB24_LOWPASS = (
@@ -83,7 +81,6 @@ def qmf_highpass(lowpass):
 
 def _analysis_step(a, filt):
     # circular correlation, stride 2: out[i] = sum_k filt[k] * a[(2i+k) % n]
-    n = a.size
     ext = np.concatenate([a, np.resize(a, filt.size - 1)])
     return np.correlate(ext, filt, mode="valid")[::2]
 
@@ -95,33 +92,23 @@ class WaveletDecomposition:
     details: list = field(default_factory=list)
     approx: np.ndarray = None
 
-    @property
-    def levels(self):
-        return len(self.details)
 
+def wavedec(x, lowpass):
+    """Orthonormal periodized wavelet analysis of a 1-D signal, floor(log2 n)
+    levels deep.
 
-def wavedec(x, lowpass=HAAR_LOWPASS, levels=None):
-    """Orthonormal periodized wavelet analysis of a 1-D signal.
-
-    Odd-length stages are extended by repeating the last sample before
-    filtering.  `levels` defaults to floor(log2(n)).  Returns a
+    `x` is a float array of n >= 2 samples, as partition.demeaned returns
+    it, and `lowpass` an even-length filter.  Odd-length stages are extended
+    by repeating the last sample before filtering.  Returns a
     :class:`WaveletDecomposition`; detail coefficients come out finest
     scale first.
     """
-    a = np.asarray(x, dtype=float).reshape(-1)
-    if a.size < 2:
-        raise ArgumentError(f"need at least 2 samples, got {a.size}")
-    h = np.asarray(lowpass, dtype=float).reshape(-1)
-    if h.size < 2 or h.size % 2:
-        raise ArgumentError(f"lowpass filter length must be even >= 2, got {h.size}")
-    if levels is None:
-        levels = int(np.log2(a.size))
-    if levels < 1:
-        raise ArgumentError(f"need levels >= 1, got {levels}")
+    h = np.asarray(lowpass, dtype=float)
     g = qmf_highpass(h)
 
+    a = x
     out = WaveletDecomposition()
-    for _ in range(levels):
+    for _ in range(int(np.log2(a.size))):
         if a.size % 2:
             a = np.append(a, a[-1])
         out.details.append(_analysis_step(a, g))

@@ -557,8 +557,6 @@ def test_suite_checks_runs_before_drawing_a_path(suite, runs, name,
 
     for attr in ("_draw_fgn", "_embedding_amplitudes", "gen_iid"):
         monkeypatch.setattr(hurstkit.bench, attr, drew)
-    # serially: a pool could not pickle `drew`
-    monkeypatch.setattr(hurstkit._cpus, "usable_cpus", lambda: 1)
     with pytest.raises(ArgumentError, match=f"^{name} must be"):
         suite(**{"replicates": 1, "length": 1000, **runs})
 

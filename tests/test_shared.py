@@ -12,11 +12,17 @@ moved into the context objects.
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hurstkit import _cpus, harness
+import hurstkit
+from hurstkit import _cpus, aggregation, harness, partition, spectral, timedomain
 from hurstkit.aggregation import (
     BlockSumContext,
     ctm_lssd,
@@ -86,6 +92,21 @@ def test_prepared_series_keeps_apart_what_the_options_change():
     prepared = PreparedSeries(x)
     for method, config in calls:
         assert _outcome(prepared, method, config) == _outcome(x, method, config)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_estimate_validates_its_input_once(method, monkeypatch):
+    # demeaned validates; nothing beneath it runs as_series on its output
+    calls = []
+
+    def counted(x, _as_series=partition.as_series):
+        calls.append(x)
+        return _as_series(x)
+
+    for module in (partition, timedomain, spectral, aggregation):
+        monkeypatch.setattr(module, "as_series", counted)
+    estimate_series(INPUTS["fgn"], method)
+    assert len(calls) == 1
 
 
 def _arrays(value):
@@ -192,6 +213,42 @@ def test_fgn_suite_matches_the_method_outer_loop(monkeypatch):
         _forcing_cpus(monkeypatch, cpus)
         _assert_same_tsvs(run_fgn_suite(*args), oracle)
         assert not multiprocessing.active_children()
+
+
+_LOCAL_DRAW_SUITE = textwrap.dedent("""
+    import multiprocessing
+    from hurstkit import _cpus, bench
+    from hurstkit.generators import gen_iid
+
+    def long_tsv(cpus):
+        def local_iid(name, length, seed):  # no pickle can name it
+            return gen_iid(name, length, seed)
+
+        bench.gen_iid = local_iid
+        _cpus.usable_cpus = lambda: cpus
+        return bench.run_random_suite(replicates=2, length=300,
+                                      seed=5).to_long_tsv()
+
+    assert long_tsv(2) == long_tsv(1)
+    assert not multiprocessing.active_children()
+""")
+
+
+def test_pool_runs_a_draw_function_it_could_not_pickle():
+    # a worker inherits its tasks through fork; a pool that pickled them
+    # hung on this draw function, so it runs under a timeout in a session of
+    # its own, where a hang fails the test and its workers die with it
+    src = str(Path(hurstkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.Popen([sys.executable, "-c", _LOCAL_DRAW_SUITE],
+                           env={**os.environ, "PYTHONPATH": path},
+                           start_new_session=True)
+    try:
+        assert run.wait(timeout=120) == 0
+    finally:
+        if run.poll() is None:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
 
 
 @pytest.mark.parametrize("error, args", [

@@ -192,13 +192,13 @@ def test_obj_fun_lw_power_law_minimum():
     h0 = 0.7
     freq = np.arange(1, 1025) / 2048
     data = LwObjectiveData(freq, freq ** (1.0 - 2.0 * h0))
-    hurst = loc_min_solve(obj_fun_lw, 0.001, 0.999, 1e-8, params=(data,))
+    hurst = loc_min_solve(lambda h: obj_fun_lw(h, data), 0.001, 0.999, 1e-8)
     assert hurst == pytest.approx(h0, abs=1e-6)
 
 
 def test_lw_objective_data_validation():
     with pytest.raises(DegenerateSequenceError):
-        obj_fun_lw(0.5, LwObjectiveData([0.1, 0.2], [0.0, 0.0]))
+        obj_fun_lw(0.5, LwObjectiveData(np.array([0.1, 0.2]), np.zeros(2)))
 
 
 def test_est_lw_white_noise_and_surface():

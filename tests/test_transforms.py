@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurstkit.errors import ArgumentError
 from hurstkit.transforms import (
     DB24_LOWPASS,
     HAAR_LOWPASS,
@@ -98,24 +97,26 @@ def test_db24_defining_identities():
 
 
 def test_haar_one_level_by_hand():
-    dec = wavedec([4.0, 2.0, 7.0, 1.0], HAAR_LOWPASS, levels=1)
+    dec = wavedec(np.array([4.0, 2.0, 7.0, 1.0]), HAAR_LOWPASS)
     assert np.allclose(dec.details[0], [2.0 / SQ2, 6.0 / SQ2], atol=1e-15)
-    assert np.allclose(dec.approx, [6.0 / SQ2, 8.0 / SQ2], atol=1e-15)
-    assert dec.levels == 1
 
 
 def test_haar_default_depth_and_second_level():
-    dec = wavedec([4.0, 2.0, 7.0, 1.0], HAAR_LOWPASS)
-    assert dec.levels == 2  # floor(log2(4))
+    dec = wavedec(np.array([4.0, 2.0, 7.0, 1.0]), HAAR_LOWPASS)
+    assert len(dec.details) == 2  # floor(log2(4))
     # second level acts on [6/sq2, 8/sq2]
     assert np.allclose(dec.details[1], [(6.0 - 8.0) / 2.0], atol=1e-15)
     assert np.allclose(dec.approx, [(6.0 + 8.0) / 2.0], atol=1e-15)
 
 
 def test_haar_odd_length_repeats_last_sample():
-    dec = wavedec([1.0, 2.0, 3.0, 4.0, 5.0], HAAR_LOWPASS, levels=1)
+    dec = wavedec(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), HAAR_LOWPASS)
+    assert len(dec.details) == 2  # floor(log2(5))
     assert np.allclose(dec.details[0], [-1.0 / SQ2, -1.0 / SQ2, 0.0], atol=1e-15)
-    assert np.allclose(dec.approx, [3.0 / SQ2, 7.0 / SQ2, 10.0 / SQ2], atol=1e-15)
+    # the first level's approximation [3, 7, 10]/sq2 is odd too: its last
+    # sample repeats, [3, 7, 10, 10]/sq2
+    assert np.allclose(dec.details[1], [-2.0, 0.0], atol=1e-15)
+    assert np.allclose(dec.approx, [5.0, 10.0], atol=1e-15)
 
 
 def test_haar_constant_signal_has_zero_details():
@@ -140,7 +141,7 @@ def test_db24_annihilates_interior_polynomial():
     n = 256
     t = np.arange(n, dtype=float)
     x = 1.0 + 0.5 * t - 0.01 * t**2 + 1e-4 * t**3
-    dec = wavedec(x, DB24_LOWPASS, levels=1)
+    dec = wavedec(x, DB24_LOWPASS)
     interior = dec.details[0][: (n - 48) // 2]
     assert np.max(np.abs(interior)) < 1e-8
     # ... and the boundary-crossing windows are decidedly not zero
@@ -148,18 +149,10 @@ def test_db24_annihilates_interior_polynomial():
 
 
 def test_wavedec_level_lengths_halve():
-    dec = wavedec(np.arange(96.0), HAAR_LOWPASS, levels=4)
-    assert [d.size for d in dec.details] == [48, 24, 12, 6]
-    assert dec.approx.size == 6
-
-
-def test_wavedec_validation():
-    with pytest.raises(ArgumentError):
-        wavedec([1.0], HAAR_LOWPASS)
-    with pytest.raises(ArgumentError):
-        wavedec([1.0, 2.0, 3.0], HAAR_LOWPASS, levels=0)
-    with pytest.raises(ArgumentError):
-        wavedec([1.0, 2.0, 3.0], (0.5, 0.5, 0.5))  # odd filter length
+    # floor(log2(96)) = 6 levels; the odd stage of 3 is extended to 4
+    dec = wavedec(np.arange(96.0), HAAR_LOWPASS)
+    assert [d.size for d in dec.details] == [48, 24, 12, 6, 3, 2]
+    assert dec.approx.size == 2
 
 
 @settings(deadline=None, max_examples=40)

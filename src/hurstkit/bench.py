@@ -4,7 +4,8 @@ Both suites run every estimator over every cell of a (distribution | H)
 by-method grid with paired per-replicate seeds (base + replicate index), and
 assemble a BenchReport that serializes to a deterministic matrix TSV
 (methods as columns) and a long-form TSV (one row per cell, plot-ready).
-A failing cell is marked and the suite carries on.
+A failing cell is marked and the suite carries on; so is every cell of an
+fGn target whose embedding fails.
 
 Each path is drawn, wrapped once in a partition.PreparedSeries and run
 through the thirteen methods as one task, so the methods share what they
@@ -54,15 +55,14 @@ def relative_error(h_hat, h_true):
 
 @dataclass(frozen=True)
 class BenchCell:
-    """One (label, method) aggregate; `error` set means the cell failed."""
+    """One (label, method) aggregate over the report's replicates; `error`
+    set, to an error's type name, means the cell failed."""
 
     label: str
     method: str
     mean: float = None
     std: float = None
     rel_error: float = None
-    replicates: int = 0
-    seed_base: int = 0
     error: str = None
 
 
@@ -92,13 +92,13 @@ class BenchReport:
         """Labels down, methods across; failed cells print NA."""
         lines = self._header_lines()
         lines.append("\t".join(["label"] + list(METHODS)))
-        labels = list(dict.fromkeys(row.label for row in self.rows))
-        for label in labels:
-            cells = []
-            for method in METHODS:
-                row = self.cell(label, method)
-                cells.append("NA" if row.error else f"{row.mean:.4f}")
-            lines.append("\t".join([label] + cells))
+        by_label = {}
+        for row in self.rows:
+            by_label.setdefault(row.label, {})[row.method] = row
+        for label, cells in by_label.items():
+            rows = [cells[method] for method in METHODS]  # a missing cell raises
+            lines.append("\t".join(
+                [label] + ["NA" if r.error else f"{r.mean:.4f}" for r in rows]))
         return "\n".join(lines) + "\n"
 
     def to_long_tsv(self):
@@ -112,12 +112,8 @@ class BenchReport:
                 stats = ["NA", "NA", "NA"]
             else:
                 stats = [f"{r.mean:.17g}", f"{r.std:.17g}", f"{r.rel_error:.6f}"]
-            lines.append(
-                "\t".join(
-                    [r.label, r.method, *stats, str(r.replicates),
-                     str(r.seed_base), r.error or ""]
-                )
-            )
+            lines.append("\t".join([r.label, r.method, *stats, str(self.replicates),
+                                    str(self.seed), r.error or ""]))
         return "\n".join(lines) + "\n"
 
 
@@ -182,26 +178,31 @@ def _run_paths(tasks, config):
         pool.shutdown(cancel_futures=True)
 
 
-def _add_cells(report, label, outcomes, h_true):
-    """Append one row per method, in METHODS order, for the paths of one
-    label; a method's first failure in path order sets its cell's error."""
-    for method, column in zip(METHODS, zip(*outcomes)):
-        failure = next((o for o in column if isinstance(o, str)), None)
-        if failure:
-            row = BenchCell(label, method, replicates=report.replicates,
-                            seed_base=report.seed, error=failure)
-        else:
-            mean = float(np.mean(column))
-            row = BenchCell(
-                label,
-                method,
-                mean=mean,
-                std=float(np.std(column, ddof=1)) if len(column) > 1 else 0.0,
-                rel_error=relative_error(mean, h_true),
-                replicates=report.replicates,
-                seed_base=report.seed,
-            )
-        report.rows.append(row)
+def _run_suite(report, groups, config):
+    """Run the tasks of all groups in one _run_paths call, then append one
+    row per method, in METHODS order, for each group in turn.
+
+    A group is (label, true H, tasks), one (draw, args) task per replicate,
+    or (label, true H, the type name of the error that kept it from drawing
+    any path), which fails all its cells.  Otherwise a method's first
+    failure in path order sets its cell's error.
+    """
+    tasks = [task for _, _, paths in groups if not isinstance(paths, str)
+             for task in paths]
+    outcomes = iter(_run_paths(tasks, config))
+    for label, h_true, paths in groups:
+        columns = ([(paths,)] * len(METHODS) if isinstance(paths, str)
+                   else zip(*[next(outcomes) for _ in paths]))
+        for method, column in zip(METHODS, columns):
+            failure = next((o for o in column if isinstance(o, str)), None)
+            if failure:
+                row = BenchCell(label, method, error=failure)
+            else:
+                mean = float(np.mean(column))
+                std = float(np.std(column, ddof=1)) if len(column) > 1 else 0.0
+                row = BenchCell(label, method, mean, std,
+                                relative_error(mean, h_true))
+            report.rows.append(row)
 
 
 def run_random_suite(replicates=10, length=10000, seed=42, config=None):
@@ -211,12 +212,10 @@ def run_random_suite(replicates=10, length=10000, seed=42, config=None):
     _check_count("seed", seed, 0)
     _settings(config or {})  # a bad option fails before any path is drawn
     report = BenchReport("random", length, replicates, seed)
-    tasks = [(gen_iid, (dist, length, seed + i))
-             for dist in DISTRIBUTIONS for i in range(replicates)]
-    outcomes = _run_paths(tasks, config or {})
-    for k, dist in enumerate(DISTRIBUTIONS):
-        _add_cells(report, dist,
-                   outcomes[k * replicates:(k + 1) * replicates], WHITE_NOISE_H)
+    groups = [(dist, WHITE_NOISE_H,
+               [(gen_iid, (dist, length, seed + i)) for i in range(replicates)])
+              for dist in DISTRIBUTIONS]
+    _run_suite(report, groups, config or {})
     return report
 
 
@@ -226,7 +225,9 @@ def run_fgn_suite(h_values=DEFAULT_H_GRID, replicates=10, length=30000,
 
     Each H is labelled by ``f"{h:.4g}"``; two values with the same label
     are an ArgumentError.  Each H, with `length` and `seed`, is checked as
-    its FgnSpec checks it.
+    its FgnSpec checks it.  An H whose embedding raises a HurstkitError
+    (EmbeddingError at high H) has that error's type name in every cell;
+    the other rows do not change.
     """
     _check_count("replicates", replicates, 1)
     _check_count("seed", seed, 0)
@@ -248,14 +249,14 @@ def run_fgn_suite(h_values=DEFAULT_H_GRID, replicates=10, length=30000,
         labels[label] = h
     _settings(config or {})  # a bad option fails before any path is drawn
     report = BenchReport("fgn", length, replicates, seed)
-
-    tasks = []
-    for h in labels.values():
-        amp = _embedding_amplitudes(h, length)  # one embedding per H
-        tasks += [(_draw_fgn, (FgnSpec(h, length, seed + i), amp))
-                  for i in range(replicates)]
-    outcomes = _run_paths(tasks, config or {})
-    for k, (label, h) in enumerate(labels.items()):
-        _add_cells(report, label,
-                   outcomes[k * replicates:(k + 1) * replicates], h)
+    groups = []
+    for label, h in labels.items():
+        try:
+            amp = _embedding_amplitudes(h, length)  # one embedding per H
+            paths = [(_draw_fgn, (FgnSpec(h, length, seed + i), amp))
+                     for i in range(replicates)]
+        except HurstkitError as exc:
+            paths = type(exc).__name__
+        groups.append((label, h, paths))
+    _run_suite(report, groups, config or {})
     return report

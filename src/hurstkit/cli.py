@@ -82,12 +82,14 @@ def build_parser():
                      help=f"one of: {', '.join(METHODS)}")
     est.add_argument("--format", choices=("json", "tsv"), default="json")
     _add_estimator_flags(est)
+    est.set_defaults(handler=_cmd_estimate)
 
     gen = sub.add_parser("gen-fgn", help="generate a fractional-noise file")
     gen.add_argument("--hurst", type=float, required=True)
     gen.add_argument("--length", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--output", required=True)
+    gen.set_defaults(handler=_cmd_gen_fgn)
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
     bench.add_argument("suite", choices=("random", "fgn"))
@@ -99,6 +101,7 @@ def build_parser():
                        help=f"fgn targets as START:STOP:STEP (default {grid})")
     bench.add_argument("--out", required=True, help="directory for the TSVs")
     _add_estimator_flags(bench)
+    bench.set_defaults(handler=_cmd_bench)
 
     return parser
 
@@ -156,13 +159,8 @@ def main(argv=None):
         # for data errors here
         return 0 if exc.code in (0, None) else 1
 
-    handlers = {
-        "estimate": _cmd_estimate,
-        "gen-fgn": _cmd_gen_fgn,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,18 +33,6 @@ from .timedomain import (
     est_tta,
 )
 
-DEFAULTS = {
-    "window": DEFAULT_WINDOW,
-    "norm": 2,
-    "q_order": 1.0,
-    "cutoff": DEFAULT_CUTOFF,
-    "weight_p": None,  # per-method: 2 for lssd, 6 for lsv
-    "penalty_q": DEFAULT_PENALTY_Q,
-    "epsilon": DEFAULT_EPSILON,
-    "corrected": False,
-}
-
-
 def _check_flag(key, value):
     if not isinstance(value, (bool, np.bool_)):
         raise ArgumentError(f"{key} must be True or False, got {value!r}")
@@ -54,24 +42,26 @@ def _real(ok, bounds):
     return lambda key, value: _check_real(key, value, ok, bounds)
 
 
-# option -> its check, which raises an ArgumentError naming the option
-_RULES = {
-    "window": lambda key, value: _check_count(key, value, 2),
-    "norm": _real(lambda v: v in (1, 2), "equal to 1 or 2"),
-    "q_order": _real(lambda v: v > 0, "> 0"),
-    "cutoff": _real(lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
-    "weight_p": _real(lambda v: v >= 0, ">= 0"),
-    "penalty_q": _real(lambda v: v > 0, "> 0"),
-    "epsilon": _real(lambda v: v > 0, "> 0"),
-    "corrected": _check_flag,
+# option -> (default, check); the check raises an ArgumentError naming the
+# option.  An unset weight_p is per-method: 2 for lssd, 6 for lsv.
+_OPTIONS = {
+    "window": (DEFAULT_WINDOW, lambda key, value: _check_count(key, value, 2)),
+    "norm": (2, _real(lambda v: v in (1, 2), "equal to 1 or 2")),
+    "q_order": (1.0, _real(lambda v: v > 0, "> 0")),
+    "cutoff": (DEFAULT_CUTOFF, _real(lambda v: 0 < v <= 0.5, "in (0, 0.5]")),
+    "weight_p": (None, _real(lambda v: v >= 0, ">= 0")),
+    "penalty_q": (DEFAULT_PENALTY_Q, _real(lambda v: v > 0, "> 0")),
+    "epsilon": (DEFAULT_EPSILON, _real(lambda v: v > 0, "> 0")),
+    "corrected": (False, _check_flag),
 }
+DEFAULTS = {key: default for key, (default, _) in _OPTIONS.items()}
 
 
 def _settings(overrides):
     """DEFAULTS with the non-None `overrides` put in, each checked by its
-    rule: the one place an option is checked, before any estimator runs.
-    A numpy scalar is stored as its Python value, so a result's config
-    stays JSON-ready."""
+    _OPTIONS check: the one place an option is checked, before any
+    estimator runs.  A numpy scalar is stored as its Python value, so a
+    result's config stays JSON-ready."""
     cfg = dict(DEFAULTS)
     for key, value in overrides.items():
         if key not in DEFAULTS:
@@ -79,7 +69,7 @@ def _settings(overrides):
                 f"unknown option {key!r}; valid options: {', '.join(DEFAULTS)}"
             )
         if value is not None:
-            _RULES[key](key, value)
+            _OPTIONS[key][1](key, value)
             cfg[key] = value.item() if isinstance(value, np.generic) else value
     return cfg
 

@@ -1,7 +1,7 @@
 """The result record every estimator returns."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,12 +33,7 @@ class EstimateResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "hurst": self.hurst,
-            "config": dict(self.config),
-            "diagnostics": dict(self.diagnostics),
-        }
+        return asdict(self)
 
 
 def build_result(method, hurst, config, *, residual_norm, n_points,

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _cpus
 from .aggregation import clip_hurst, fun_cm_lsv
-from .errors import DegenerateSequenceError, NoPartitionError
+from .errors import DegenerateSequenceError, DomainError, NoPartitionError
 from .numerics import fit_power_law, fixed_point_solve, lad_lines
 from .numerics import linear_regr_solver  # noqa: F401 -- perfbench traces it
 # as_series and seq_partition are not called here; perfbench traces both names
@@ -115,8 +115,11 @@ def _live_segments(spread, m, cause):
     """Keep the segments of size m whose spread is above 0.
 
     Returns the keep mask and the number of segments dropped; a scale that
-    loses every segment is a degenerate series, which `cause` describes.
+    loses every segment is a degenerate series, which `cause` describes.  A
+    spread that overflowed to inf or NaN is a DomainError, checked first.
     """
+    if not np.isfinite(spread).all():
+        raise DomainError(f"the spread of a segment of size {m} overflows")
     keep = spread > 0.0
     if not keep.any():
         raise DegenerateSequenceError(f"every segment of size {m} {cause}")

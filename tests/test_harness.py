@@ -530,8 +530,8 @@ def test_random_suite_marks_short_input_cells():
 def test_fgn_suite_rows_and_errors():
     report = run_fgn_suite(h_values=(0.6,), replicates=2, length=4000, seed=3)
     assert len(report.rows) == 13
+    assert report.replicates == 2
     row = report.cell("0.6", "ghe")
-    assert row.replicates == 2
     assert abs(row.mean - 0.6) < 0.08
     assert row.rel_error == relative_error(row.mean, 0.6)
     with pytest.raises(ArgumentError):

@@ -40,7 +40,7 @@ from hurstkit.bench import (
     run_random_suite,
 )
 from hurstkit.cli import main
-from hurstkit.errors import ArgumentError, EmbeddingError, HurstkitError
+from hurstkit.errors import ArgumentError, DataError, EmbeddingError, HurstkitError
 from hurstkit.generators import DISTRIBUTIONS, FgnSpec, gen_fgn, gen_iid
 from hurstkit.harness import estimate_series
 from hurstkit.partition import PreparedSeries
@@ -135,18 +135,19 @@ def test_kept_intermediates_are_read_only():
 # the suites against the method-outer loop with one gen_fgn per replicate
 
 
-def _oracle_cells(report, label, paths, h_true, config):
+def _oracle_cells(report, label, paths, h_true, config, failure=None):
+    """One row per method over `paths`; a `failure` (with no paths) fails
+    every cell."""
     for method in METHODS:
-        estimates, failure = [], None
+        estimates, error = [], failure
         for x in paths:
             try:
                 estimates.append(estimate_series(x, method, **config).hurst)
             except HurstkitError as exc:
-                failure = type(exc).__name__
+                error = type(exc).__name__
                 break
-        if failure:
-            row = BenchCell(label, method, replicates=report.replicates,
-                            seed_base=report.seed, error=failure)
+        if error:
+            row = BenchCell(label, method, error=error)
         else:
             mean = float(np.mean(estimates))
             row = BenchCell(
@@ -155,8 +156,6 @@ def _oracle_cells(report, label, paths, h_true, config):
                 mean=mean,
                 std=float(np.std(estimates, ddof=1)) if len(estimates) > 1 else 0.0,
                 rel_error=relative_error(mean, h_true),
-                replicates=report.replicates,
-                seed_base=report.seed,
             )
         report.rows.append(row)
 
@@ -172,8 +171,12 @@ def _oracle_random_suite(replicates, length, seed, config=None):
 def _oracle_fgn_suite(h_values, replicates, length, seed, config=None):
     report = BenchReport("fgn", length, replicates, seed)
     for h in h_values:
-        paths = [gen_fgn((h, length, seed + i)) for i in range(replicates)]
-        _oracle_cells(report, f"{h:.4g}", paths, h, config or {})
+        try:
+            paths = [gen_fgn((h, length, seed + i)) for i in range(replicates)]
+            failure = None
+        except DataError as exc:  # an ArgumentError fails the whole suite
+            paths, failure = [], type(exc).__name__
+        _oracle_cells(report, f"{h:.4g}", paths, h, config or {}, failure)
     return report
 
 
@@ -252,7 +255,6 @@ def test_pool_runs_a_draw_function_it_could_not_pickle():
 
 
 @pytest.mark.parametrize("error, args", [
-    (EmbeddingError, ((0.5, 0.92), 2, 1000, 1)),
     (ArgumentError, ((0.5,), 2, 1000, -1)),
 ])
 def test_fgn_suite_raises_as_the_method_outer_loop(monkeypatch, error, args):
@@ -264,6 +266,25 @@ def test_fgn_suite_raises_as_the_method_outer_loop(monkeypatch, error, args):
             run_fgn_suite(*args)
         assert str(new.value) == str(old.value)
         assert not multiprocessing.active_children()
+
+
+def test_fgn_suite_fails_the_cells_of_a_target_it_cannot_embed(monkeypatch):
+    # the embedding of H = 0.92 at N = 1000 has a negative eigenvalue; its
+    # row fails, and the rows of 0.5 and 0.7 are those of a suite without it
+    args = ((0.5, 0.92, 0.7), 2, 1000, 1)
+    with pytest.raises(EmbeddingError):
+        gen_fgn((0.92, 1000, 1))
+    oracle = _oracle_fgn_suite(*args)
+    for cpus in SERIAL_AND_POOLED:
+        _forcing_cpus(monkeypatch, cpus)
+        report = run_fgn_suite(*args)
+        _assert_same_tsvs(report, oracle)
+        assert not multiprocessing.active_children()
+    assert [row.error for row in report.rows if row.label == "0.92"] == (
+        ["EmbeddingError"] * len(METHODS))
+    without = run_fgn_suite((0.5, 0.7), 2, 1000, 1)
+    assert [row for row in report.rows if row.label != "0.92"] == without.rows
+    assert "0.92" + "\tNA" * len(METHODS) + "\n" in report.to_matrix_tsv()
 
 
 @pytest.mark.parametrize("cpus", SERIAL_AND_POOLED)

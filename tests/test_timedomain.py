@@ -25,6 +25,7 @@ from hurstkit import _cpus, timedomain
 from hurstkit.errors import (
     ArgumentError,
     DegenerateSequenceError,
+    DomainError,
     HurstkitError,
     InsufficientDataError,
 )
@@ -473,6 +474,20 @@ def test_rs_corrected_closer_to_half_on_white_noise():
 def test_rs_constant_series_degenerate():
     with pytest.raises(DegenerateSequenceError):
         est_rs(np.full(600, 1.0), w=5)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda x: est_rs(x),
+    lambda x: est_rs(x, corrected=True),
+    lambda x: est_dfa(x),
+], ids=["rs", "rs-corrected", "dfa"])
+def test_overflowed_segment_spreads_are_a_domain_error(estimate):
+    # every segment std of 1e200 x fGn is inf: rs read each R/S ratio as 0,
+    # and the corrected statistic as a function of m alone, a plausible H
+    x = 1e200 * gen_fgn(FgnSpec(0.7, 3000, 42))
+    with pytest.raises(DomainError,
+                       match="^the spread of a segment of size 50 overflows$"):
+        estimate(x)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ the calling process.  Every estimate, error and TSV byte is the same either
 way, and bitwise the one a separate estimate_series call on the path gives.
 A worker holds one path and its intermediates at a time (its peak RSS was
 152 MiB at N = 1e6, Python 3.11 and numpy 2.4), and timedomain._map_scales
-still starts its threads inside a worker once the prefix has 2e5 samples.
+still starts threads for dfa and rs inside a worker once the prefix has 2e5
+samples.
 A tracer or profiler installed in the calling process sees only that
 process, so it sees the estimators only in a serial run.
 """
@@ -224,15 +225,16 @@ def run_fgn_suite(h_values=DEFAULT_H_GRID, replicates=10, length=30000,
     """Fractional-noise accuracy grid over the requested H values.
 
     Each H is labelled by ``f"{h:.4g}"``; two values with the same label
-    are an ArgumentError.  Each H, with `length` and `seed`, is checked as
-    its FgnSpec checks it.  An H whose embedding raises a HurstkitError
-    (EmbeddingError at high H) has that error's type name in every cell;
-    the other rows do not change.
+    are an ArgumentError, raised as soon as the second is read from
+    `h_values`, which is iterated once.  Each H, with `length` and `seed`,
+    is checked as its FgnSpec checks it.  An H whose embedding raises a
+    HurstkitError (EmbeddingError at high H) has that error's type name in
+    every cell; the other rows do not change.
     """
     _check_count("replicates", replicates, 1)
     _check_count("seed", seed, 0)
     try:
-        h_values = list(h_values)
+        h_values = iter(h_values)
     except TypeError:
         raise ArgumentError(
             f"h_values must be a sequence of target H values, got {h_values!r}"

@@ -119,12 +119,14 @@ def cumulative_bias(x):
     `x` is a validated float array, as demeaned returns it.  Computed as
     cumsum(x) - i*mean so the final element telescopes to zero up to a
     couple of ulps regardless of length (the two terms share the final
-    rounding of the total sum).
+    rounding of the total sum), with both terms formed in place.
     """
-    c = np.cumsum(x)
+    c = np.cumsum(x, dtype=float)
     n = c.size
-    mean = c[-1] / n
-    return c - mean * np.arange(1, n + 1)
+    ramp = np.arange(1.0, n + 1.0)
+    ramp *= c[-1] / n
+    c -= ramp
+    return c
 
 
 def sample_std(x):

@@ -21,15 +21,15 @@ Every estimator starts from partition.demeaned, which also checks its
 minimum length, so shift invariance holds exactly in floating point whenever
 the shifted inputs demean to identical arrays.  am, av, dfa and rs then
 share one partition step (_partitioned), whose search needs w^2 samples,
-ghe, hm and tta one profile (_profile), dfa and rs one rule for dropping
-zero-spread segments (_live_segments), and all but am and av end in
-results.fit_result.  On a partition.PreparedSeries the partition of each w
-and the profile are built once for all the estimators that read them.  Every
-one of them drops a scale whose statistic is 0 by the same rule,
-results.live_scales.  The window sizes of am, av, dfa and rs are
-independent passes over the prefix, so _map_scales spreads them over up
-to four threads once the prefix is long enough to repay it; each scale is
-computed exactly as on one thread.
+am, av, ghe, hm, dfa and tta one profile (_profile), dfa and rs one rule
+for dropping zero-spread segments (_live_segments), and all but am and av
+end in results.fit_result.  On a partition.PreparedSeries the partition of
+each w and the profile are built once for all the estimators that read
+them.  Every one of them drops a scale whose statistic is 0 by the same
+rule, results.live_scales.  am and av take each block mean as a difference
+of the profile; the window sizes of dfa and rs are independent passes over
+the prefix, so _map_scales spreads them over up to four threads once the
+prefix is long enough to repay it; each scale is computed as on one thread.
 """
 
 import math
@@ -105,9 +105,8 @@ def _partitioned(x, w):
     return arr, n_opt, factors
 
 
-def _profile(x, min_length):
-    """The cumulative-bias profile of the demeaned series (ghe, hm, tta)."""
-    arr = demeaned(x, min_length)
+def _profile(x, arr):
+    """The shared cumulative-bias profile of `arr`, x's demeaned series."""
     return shared(x, "profile", lambda: cumulative_bias(arr))
 
 
@@ -153,18 +152,20 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
     (0, 1).  An uncorrected estimate outside (0, 1) -- a trend, a random
     walk -- has no fGn model to correct towards and is reported as it is.
 
-    A scale whose statistic is 0 is dropped by results.live_scales.
+    Block means are differences of the profile at every m-th sample; a
+    scale whose statistic is 0 is dropped by results.live_scales.
     """
     arr, n_opt, factors = _partitioned(x, w)
+    y = _profile(x, arr)
 
     def scale_stat(m):
-        means = arr[:n_opt].reshape(n_opt // m, m).mean(axis=1)
+        means = np.diff(y[m - 1 : n_opt : m], prepend=0.0) / m
         if r == 1:
             return float(np.abs(means).mean())  # grand mean is 0
         return float(np.var(means, ddof=1))
 
     scales, stats, excluded = live_scales(
-        factors, _map_scales(scale_stat, factors, n_opt)
+        factors, [scale_stat(m) for m in factors]
     )
 
     def corrected_fit(hurst):
@@ -200,7 +201,7 @@ def est_ghe(x, q=1.0, flag=2):
     mu_q(tau) = mean |Y_{i+tau} - Y_i|^q over the cumulative-bias profile Y,
     for tau = 1..10; H = slope/q, q > 0.
     """
-    y = _profile(x, 21)
+    y = _profile(x, demeaned(x, 21))
 
     lags = np.arange(1, 11)
     stats = np.array(
@@ -218,7 +219,7 @@ def _higuchi_lag(idx):
 
 def est_higuchi(x, flag=2):
     """Higuchi curve-length method: H = 2 + slope of ln L(m) vs ln m."""
-    y = _profile(x, 65)
+    y = _profile(x, demeaned(x, 65))
     n = y.size
 
     lags = np.array([_higuchi_lag(i) for i in range(1, 11)])
@@ -270,7 +271,7 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     needs w >= 3 in practice.
     """
     arr, n_opt, factors = _partitioned(x, w)
-    z = shared(x, "profile", lambda: cumulative_bias(arr))[:n_opt]
+    z = _profile(x, arr)[:n_opt]
 
     def scale_stat(m):
         stds = _detrended_stds(z.reshape(n_opt // m, m), flag)
@@ -341,7 +342,7 @@ def est_tta(x, flag=2):
     difference there is still sensitive to the marginal shape of the input
     (heavy tails inflate it), which tilts the whole fit upward.
     """
-    y = _profile(x, 41)
+    y = _profile(x, demeaned(x, 41))
     n = y.size
 
     lags = np.arange(3, 13)

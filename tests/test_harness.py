@@ -3,7 +3,10 @@
 import gzip
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -320,11 +323,15 @@ def test_numpy_option_is_stored_as_python_value(method, option, value, plain):
     assert parsed["config"][option] == plain
 
 
-@pytest.mark.parametrize("method, arrays", [("pm", 4), ("lw", 4), ("rs", 2.5)])
+@pytest.mark.parametrize("method, arrays", [
+    ("pm", 4), ("lw", 4), ("rs", 2.5), ("am", 3.5), ("av", 3.5), ("ghe", 3.5),
+])
 def test_estimate_series_peak_memory(method, arrays):
     # pm and lw take a real-input FFT, which holds no complex copy of the
     # series (the complex one peaked at 5 arrays of its length); rs builds
-    # each scale's profile over its demeaned rows (two buffers peaked at 3.1)
+    # each scale's profile over its demeaned rows (two buffers peaked at
+    # 3.1); am, av and ghe hold the demeaned series and the profile, whose
+    # ramp is subtracted in place (out of place ghe peaked at 4.06)
     n = 2**17
     x = gen_fgn(FgnSpec(0.7, n, 1))
     estimate_series(x, method)  # the FFT plans, once
@@ -581,11 +588,11 @@ def test_fgn_suite_checks_each_target_as_fgn_spec(h_values, match,
 
 
 def test_parse_h_grid():
-    assert parse_h_grid("0.3:0.8:0.05") == pytest.approx(
+    assert list(parse_h_grid("0.3:0.8:0.05")) == pytest.approx(
         [0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8]
     )
-    assert parse_h_grid("0.3:0.7:0.2") == pytest.approx([0.3, 0.5, 0.7])
-    assert parse_h_grid("0.55") == [0.55]
+    assert list(parse_h_grid("0.3:0.7:0.2")) == pytest.approx([0.3, 0.5, 0.7])
+    assert list(parse_h_grid("0.55")) == [0.55]
     with pytest.raises(ArgumentError):
         parse_h_grid("0.5:0.3:0.1")
     with pytest.raises(ArgumentError):
@@ -635,6 +642,25 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
     assert main(["bench", "random", "--h-grid", "0.5",
                  "--out", str(tmp_path)]) == 1
+    for grid in ("nan:1:0.1", "0.1:inf:0.1", "0.1:0.5:nan"):
+        capsys.readouterr()
+        assert main(["bench", "fgn", "--h-grid", grid,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad grid")
+    # a step too small to tell two targets apart fails at the second one,
+    # and building every target of it first would exhaust memory: run it
+    # in a child with an address-space limit and a timeout
+    limit = ("import resource; resource.setrlimit(resource.RLIMIT_AS, "
+             "(2**30, 2**30)); ")
+    call = ("from hurstkit.cli import main; raise SystemExit(main(['bench', "
+            f"'fgn', '--h-grid', '0.1:0.5:1e-300', '--out', {str(tmp_path)!r}]))")
+    src = str(Path(hurstkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", limit + call],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: target H values 0.1 and 0.1 share")
 
     # data problems -> 2
     bad = tmp_path / "bad.txt"

@@ -109,6 +109,25 @@ def test_each_estimate_validates_its_input_once(method, monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_profile_serves_every_method(monkeypatch):
+    # am, av, ghe, hm, dfa and tta read one running total of the series
+    prepared = PreparedSeries(INPUTS["fgn"])
+    estimate_series(prepared, "am")
+    assert "profile" in prepared._cache
+
+    calls = []
+
+    def counted(arr, _bias=partition.cumulative_bias):
+        calls.append(arr)
+        return _bias(arr)
+
+    monkeypatch.setattr(timedomain, "cumulative_bias", counted)
+    prepared = PreparedSeries(INPUTS["fgn"])
+    for method in METHODS:
+        estimate_series(prepared, method)
+    assert len(calls) == 1
+
+
 def _arrays(value):
     if isinstance(value, np.ndarray):
         yield value

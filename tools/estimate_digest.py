@@ -17,8 +17,9 @@ identical exactly where their outputs agree line for line:
 
 The grid: fGn at H = 0.3, 0.5, 0.7, 0.8 with three seeds at N = 3e4; the six
 i.i.d. families at N = 1e4; fGn at N = 1e5 and at N = 3e5, the one case long
-enough for am, av, dfa and rs to spread their window sizes over threads
-(timedomain._map_scales); the edge cases step, ramp, random walk, constant,
+enough for dfa and rs to spread their window sizes over threads
+(timedomain._map_scales) and where am and av take their block means as
+differences of the longest running total; the edge cases step, ramp, random walk, constant,
 arange % 7, fGn x 1e200 and a length of 2503, which leaves the partition
 search one window size at the default window; and i.i.d. normal series at
 FLOOR_LENGTHS, one below and at each method's minimum length (ghe 21, tta 41,

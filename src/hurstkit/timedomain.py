@@ -224,11 +224,13 @@ def est_higuchi(x, flag=2):
 
     lags = np.array([_higuchi_lag(i) for i in range(1, 11)])
     stats = np.empty(lags.size)
+    buf = np.empty(n)
     for j, m in enumerate(lags):
         k = n // m
-        diffs = np.abs(y[m:] - y[:-m])
         # complete windows only: the first (k-1)*m lagged differences
-        length = diffs[: (k - 1) * m].mean()
+        span = (k - 1) * m
+        diffs = np.subtract(y[m : m + span], y[:span], out=buf[:span])
+        length = np.abs(diffs, out=diffs).mean()
         stats[j] = (n - 1) * length / m**2
 
     return fit_result("hm", lags, stats, flag, {"norm": flag}, offset=2.0)
@@ -257,7 +259,10 @@ def _detrended_stds(segments, flag):
         resid -= ((resid @ tc) / (tc @ tc))[:, None] * tc
         return np.sqrt(np.einsum("ij,ij->i", resid, resid) / (m - 1))
     a, b = lad_lines(t, segments)
-    return (segments - (a[:, None] + b[:, None] * t)).std(axis=1, ddof=1)
+    # a residual past sqrt(max float) squares to inf here; _live_segments
+    # then raises the overflow DomainError
+    with np.errstate(over="ignore"):
+        return (segments - (a[:, None] + b[:, None] * t)).std(axis=1, ddof=1)
 
 
 def est_dfa(x, w=DEFAULT_WINDOW, flag=2):

@@ -240,6 +240,34 @@ def test_write_fgn_round_trip_and_header(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+BLOCK = hurstkit.harness._WRITE_BLOCK
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_write_fgn_blocks_match_one_shot_text(tmp_path, n):
+    path = tmp_path / "fgn.txt"
+    spec = FgnSpec(0.7, n, 5)
+    write_fgn(path, spec)
+    header = f"# fgn hurst=0.69999999999999996 length={n} seed=5\n"
+    body = "".join(f"{value:.17g}\n" for value in gen_fgn(spec))
+    assert path.read_text(encoding="utf-8") == header + body
+
+
+def test_write_fgn_text_memory_does_not_grow_with_length(tmp_path, monkeypatch):
+    # the one-shot text of 2**20 normal values peaked at 60.9 MiB; one block
+    # of it takes 1.1 MiB
+    n = 2**20
+    series = rand_series(4, n)
+    monkeypatch.setattr(hurstkit.harness, "gen_fgn", lambda spec: series)
+    tracemalloc.start()
+    try:
+        write_fgn(tmp_path / "fgn.txt", FgnSpec(0.7, n, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 
@@ -325,13 +353,16 @@ def test_numpy_option_is_stored_as_python_value(method, option, value, plain):
 
 @pytest.mark.parametrize("method, arrays", [
     ("pm", 4), ("lw", 4), ("rs", 2.5), ("am", 3.5), ("av", 3.5), ("ghe", 3.5),
+    ("hm", 3.5),
 ])
 def test_estimate_series_peak_memory(method, arrays):
     # pm and lw take a real-input FFT, which holds no complex copy of the
     # series (the complex one peaked at 5 arrays of its length); rs builds
     # each scale's profile over its demeaned rows (two buffers peaked at
     # 3.1); am, av and ghe hold the demeaned series and the profile, whose
-    # ramp is subtracted in place (out of place ghe peaked at 4.06)
+    # ramp is subtracted in place (out of place ghe peaked at 4.06); hm
+    # forms each lag's absolute differences in one reused buffer (a
+    # difference and its absolute value per lag peaked at 4.0)
     n = 2**17
     x = gen_fgn(FgnSpec(0.7, n, 1))
     estimate_series(x, method)  # the FFT plans, once

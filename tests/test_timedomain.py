@@ -488,10 +488,13 @@ def test_rs_constant_series_degenerate():
     lambda x: est_rs(x),
     lambda x: est_rs(x, corrected=True),
     lambda x: est_dfa(x),
-], ids=["rs", "rs-corrected", "dfa"])
+    lambda x: est_dfa(x, flag=1),
+], ids=["rs", "rs-corrected", "dfa", "dfa-norm1"])
 def test_overflowed_segment_spreads_are_a_domain_error(estimate):
     # every segment std of 1e200 x fGn is inf: rs read each R/S ratio as 0,
-    # and the corrected statistic as a function of m alone, a plausible H
+    # and the corrected statistic as a function of m alone, a plausible H.
+    # Warnings are errors here, so the norm=1 std's overflow in its square
+    # must stay silent until the DomainError
     x = 1e200 * gen_fgn(FgnSpec(0.7, 3000, 42))
     with pytest.raises(DomainError,
                        match="^the spread of a segment of size 50 overflows$"):

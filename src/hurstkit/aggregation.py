@@ -90,25 +90,20 @@ def clip_hurst(hurst):
     return min(max(hurst, _CLAMP), 1.0 - _CLAMP)
 
 
-def _u_ratio(m, n_total):
-    return np.asarray(n_total / np.asarray(m, dtype=float))
-
-
 def fun_cm_lssd(m, n_total, hurst):
     """Scaling correction sqrt((u - u^{2H-1})/(u - 1/2)), u = N/m."""
-    u = _u_ratio(m, n_total)
+    u = n_total / np.asarray(m, dtype=float)
     with np.errstate(invalid="ignore"):
-        c = np.sqrt((u - u ** (2.0 * hurst - 1.0)) / (u - 0.5))
-    return float(c) if c.ndim == 0 else c
+        return np.sqrt((u - u ** (2.0 * hurst - 1.0)) / (u - 0.5))
 
 
 def fun_dm(m, n_total, hurst):
-    """ln m + ln u / (1 - u^{2-2H}), u = N/m.
-
-    The denominator vanishes as H -> 1; values within 1e-12 of zero raise a
-    singularity error rather than returning a huge meaningless number.
+    """ln m + ln u / (1 - u^{2-2H}), u = N/m: like fun_cm_lssd and fun_cm_lsv,
+    an array for an array m and a float for a scalar.  The denominator
+    vanishes as H -> 1; values within 1e-12 of zero raise a SingularityError
+    rather than returning a huge meaningless number.
     """
-    u = _u_ratio(m, n_total)
+    u = n_total / np.asarray(m, dtype=float)
     # far below H = 1 the power overflows to inf, and d takes its limit ln m
     with np.errstate(over="ignore"):
         denom = 1.0 - u ** (2.0 - 2.0 * hurst)
@@ -117,8 +112,7 @@ def fun_dm(m, n_total, hurst):
             f"1 - u^(2-2H) vanishes at H={hurst}; the scaling exponent is "
             f"indeterminate this close to 1"
         )
-    d = np.log(np.asarray(m, dtype=float)) + np.log(u) / denom
-    return float(d) if d.ndim == 0 else d
+    return np.log(np.asarray(m, dtype=float)) + np.log(u) / denom
 
 
 @dataclass(frozen=True)
@@ -188,9 +182,8 @@ def ctm_lssd(hurst, ctx):
 
 def fun_cm_lsv(m, n_total, hurst):
     """Scaling correction (u - u^{2H-1})/(u - 1), u = N/m; equals 1 at H=1/2."""
-    u = _u_ratio(m, n_total)
-    c = (u - u ** (2.0 * hurst - 1.0)) / (u - 1.0)
-    return float(c) if c.ndim == 0 else c
+    u = n_total / np.asarray(m, dtype=float)
+    return (u - u ** (2.0 * hurst - 1.0)) / (u - 1.0)
 
 
 def obj_fun_lsv(hurst, ctx):
@@ -201,8 +194,6 @@ def obj_fun_lsv(hurst, ctx):
     b1 = ctx.lsv_b1
     a11 = np.sum(c**2 * m ** (4.0 * hurst) / weight)
     a12 = np.sum(c * m ** (2.0 * hurst) * s_sq / weight)
-    if a11 == 0.0:
-        raise SingularSystemError("all scaling corrections vanished")
     penalty = hurst ** (ctx.penalty_q + 1.0) / (ctx.penalty_q + 1.0)
     return float(b1 - a12 * a12 / a11 + penalty)
 
@@ -264,7 +255,8 @@ def est_lsv(x, p=DEFAULT_LSV_WEIGHT_P, q=DEFAULT_PENALTY_Q, eps=DEFAULT_EPSILON)
     about +/-0.005 across H in [0.3, 0.8]; with p=2 it wanders by ~0.05.
     """
     ctx, excluded = _block_context(x, p, q)
-    hurst = loc_min_solve(lambda h: obj_fun_lsv(h, ctx), 0.001, 0.999, eps)
+    hurst, objective = loc_min_solve(lambda h: obj_fun_lsv(h, ctx),
+                                     0.001, 0.999, eps)
     return build_result(
         "lsv",
         hurst,
@@ -272,5 +264,5 @@ def est_lsv(x, p=DEFAULT_LSV_WEIGHT_P, q=DEFAULT_PENALTY_Q, eps=DEFAULT_EPSILON)
         residual_norm=None,
         n_points=int(ctx.scales.size),
         excluded_segments=excluded,
-        objective=obj_fun_lsv(hurst, ctx),
+        objective=objective,
     )

@@ -159,8 +159,8 @@ def loc_min_solve(f, lo, hi, tol):
     its data, as lambda h: psi(h, data)): golden-section bracketing with
     successive parabolic interpolation; never evaluates outside the interval.
 
-    `tol` > 0 is the absolute positioning tolerance; the effective tolerance
-    also includes a sqrt(machine-eps) relative term, per the classic algorithm.
+    `tol` > 0 is the absolute tolerance, plus a sqrt(machine-eps) relative
+    term as in the classic algorithm.  Returns (x, f(x)) at the best point.
     """
     rel = math.sqrt(np.finfo(float).eps)
     a, b = float(lo), float(hi)
@@ -174,7 +174,7 @@ def loc_min_solve(f, lo, hi, tol):
         tol1 = rel * abs(x) + tol
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x
+            return x, fx
 
         use_golden = True
         if abs(e) > tol1:

@@ -147,9 +147,9 @@ def gen_sbpf(a, w):
 def search_opt_seq_len(n, w, alpha=DEFAULT_ALPHA):
     """Pick the length in [ceil(alpha*n), n] with the most bounded proper factors.
 
-    Ties are resolved toward the *largest* candidate so the least data is
-    discarded.  Returns ``(n_opt, factors)`` where `factors` is the ascending
-    divisor list of the winner.
+    Takes ints n and w >= 2, as timedomain._partitioned passes them.  Ties
+    go to the *largest* candidate so the least data is discarded.  Returns
+    ``(n_opt, factors)``, `factors` the ascending divisor list of the winner.
 
     Raises
     ------
@@ -158,10 +158,6 @@ def search_opt_seq_len(n, w, alpha=DEFAULT_ALPHA):
     NoPartitionError
         if every candidate in the range is factor-free.
     """
-    n = int(n)
-    w = int(w)
-    if w < 2:
-        raise ArgumentError(f"need w >= 2, got {w}")
     if not 0.95 <= alpha <= 1.0:
         raise ArgumentError(f"need 0.95 <= alpha <= 1, got {alpha}")
     if n < w * w:

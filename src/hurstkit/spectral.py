@@ -126,12 +126,13 @@ def est_lw(x):
     """
     data = LwObjectiveData(*_periodogram(x))
 
-    hurst = loc_min_solve(lambda h: obj_fun_lw(h, data), *_LW_BRACKET, _LW_TOL)
+    hurst, objective = loc_min_solve(lambda h: obj_fun_lw(h, data),
+                                     *_LW_BRACKET, _LW_TOL)
     return build_result(
         "lw",
         hurst,
         {},
         residual_norm=None,
         n_points=int(data.frequencies.size),
-        objective=obj_fun_lw(hurst, data),
+        objective=objective,
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hurstkit import aggregation
 from hurstkit.aggregation import (
     BlockSumContext,
     _block_sum_std_profile,
@@ -24,7 +25,7 @@ from hurstkit.errors import (
     SingularityError,
     SingularSystemError,
 )
-from hurstkit.generators import FgnSpec, gen_fgn
+from hurstkit.generators import FgnSpec, gen_fgn, gen_iid
 from hurstkit.harness import estimate_series
 from hurstkit.partition import sample_std
 
@@ -130,6 +131,14 @@ def test_fun_cm_lsv_examples():
     )
     for hurst in (0.1, 0.4, 0.6, 0.9):
         assert fun_cm_lsv(4, 90, hurst) > 0.0
+    # all three corrections: a float for a scalar m, an array for an array
+    m = np.array([[1.0, 4.0], [7.0, 9.0]])
+    for fun in (fun_cm_lssd, fun_dm, fun_cm_lsv):
+        assert isinstance(fun(4, 90, 0.7), float)
+        got = fun(m, 90, 0.7)
+        assert isinstance(got, np.ndarray) and got.shape == m.shape
+        want = [[fun(v, 90, 0.7) for v in row] for row in m.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +252,12 @@ def test_est_lssd_white_noise_surface():
     assert res.diagnostics["fixed_point_residual"] < 1e-4
     assert res.diagnostics["n_points"] <= 200
     assert "raw_value" not in res.diagnostics
+    # an alternation drives the fixed point below 0: clipped, raw value kept
+    for seed in range(1, 6):
+        x = np.tile([1.0, -1.0], 2500) + 0.01 * gen_iid("normal", 5000, seed)
+        res = est_lssd(x)
+        assert res.hurst == aggregation.clip_hurst(0.0)
+        assert res.diagnostics["raw_value"] == pytest.approx(-0.70, abs=0.01)
 
 
 def test_est_lsv_white_noise_surface_and_sandwich():
@@ -258,6 +273,22 @@ def test_est_lsv_white_noise_surface_and_sandwich():
     mid = obj_fun_lsv(res.hurst, ctx)
     assert mid <= obj_fun_lsv(res.hurst - 10 * eps, ctx)
     assert mid <= obj_fun_lsv(res.hurst + 10 * eps, ctx)
+
+
+@pytest.mark.parametrize("hurst, seed", [(0.3, 1), (0.5, 2), (0.8, 3)])
+def test_est_lsv_evaluates_no_hurst_twice(hurst, seed, monkeypatch):
+    # the objective comes from the minimizer, not from one more evaluation
+    calls = []
+
+    def recorded(h, ctx):
+        calls.append((h, obj_fun_lsv(h, ctx)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(aggregation, "obj_fun_lsv", recorded)
+    res = est_lsv(gen_fgn(FgnSpec(hurst, 3000, seed)))
+    seen = dict(calls)
+    assert len(seen) == len(calls)
+    assert res.diagnostics["objective"] == seen[res.hurst]
 
 
 def test_est_lssd_scale_and_shift_stability():

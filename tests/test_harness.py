@@ -133,6 +133,7 @@ READER_CASES = {
     "crlf": "# h\r\n1.5\r\n-2.25\r\n3e-3\r\n",
     "lone cr": "1.0\r2.0\r# c\r3.0",
     "no trailing newline": "1.0\n2.0",
+    "comment last, no trailing newline": "1\n2\n# end",
     "blank lines": "\n  \n1.0\n\t\n2.0\n\n",
     "unicode blanks": "\xa01.0\x85\n\x0c2.0\x0b\n\u2003# c\n",
     "signs and forms": "+1\n-0\n.5\n5.\n1E3\n-1e-320\n",
@@ -195,7 +196,7 @@ def test_read_series_parses_plain_files_in_one_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hurstkit.harness, "_scan_series", no_scan)
     for name in ("plain", "indented comments", "crlf", "lone cr",
-                 "no trailing newline"):
+                 "no trailing newline", "comment last, no trailing newline"):
         path = tmp_path / "series.txt"
         path.write_bytes(READER_CASES[name].encode("utf-8"))
         assert read_series(path).size >= 2
@@ -572,6 +573,8 @@ def test_fgn_suite_rows_and_errors():
     row = report.cell("0.6", "ghe")
     assert abs(row.mean - 0.6) < 0.08
     assert row.rel_error == relative_error(row.mean, 0.6)
+    with pytest.raises(KeyError):
+        report.cell("0.7", "ghe")
     with pytest.raises(ArgumentError):
         run_fgn_suite(h_values=(1.5,), replicates=1, length=4000, seed=1)
     with pytest.raises(ArgumentError):
@@ -628,6 +631,8 @@ def test_parse_h_grid():
         parse_h_grid("0.5:0.3:0.1")
     with pytest.raises(ArgumentError):
         parse_h_grid("a:b:c")
+    with pytest.raises(ArgumentError, match="^bad grid"):
+        parse_h_grid("0.3:0.8")
 
 
 def test_cli_estimate_json(tmp_path, capsys):

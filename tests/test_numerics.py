@@ -259,18 +259,25 @@ def test_fixed_point_budget_exhaustion():
 
 
 def test_brent_quadratic():
-    assert loc_min_solve(lambda t: (t - 2.0) ** 2, 0.0, 5.0, 1e-8) == \
-        pytest.approx(2.0, abs=1e-6)
+    def f(t):
+        return (t - 2.0) ** 2
+
+    x, fx = loc_min_solve(f, 0.0, 5.0, 1e-8)
+    assert x == pytest.approx(2.0, abs=1e-6)
+    assert fx == f(x)
 
 
 def test_brent_cosine_interior_minimum():
-    got = loc_min_solve(math.cos, 0.5, 2.0 * math.pi - 0.5, 1e-10)
-    assert got == pytest.approx(math.pi, abs=1e-6)
+    x, fx = loc_min_solve(math.cos, 0.5, 2.0 * math.pi - 0.5, 1e-10)
+    assert x == pytest.approx(math.pi, abs=1e-6)
+    assert fx == math.cos(x)
 
 
 def test_brent_monotone_edges():
-    assert loc_min_solve(lambda t: t, 1.0, 3.0, 1e-8) == pytest.approx(1.0, abs=1e-5)
-    assert loc_min_solve(lambda t: -t, 1.0, 3.0, 1e-8) == pytest.approx(3.0, abs=1e-5)
+    for f, edge in ((lambda t: t, 1.0), (lambda t: -t, 3.0)):
+        x, fx = loc_min_solve(f, 1.0, 3.0, 1e-8)
+        assert x == pytest.approx(edge, abs=1e-5)
+        assert fx == f(x)
 
 
 def test_brent_stays_inside_interval_and_passes_params():
@@ -280,8 +287,9 @@ def test_brent_stays_inside_interval_and_passes_params():
         seen.append(t)
         return (t - shift) ** 4
 
-    got = loc_min_solve(lambda t: f(t, 0.25), 0.001, 0.999, 1e-8)
-    assert got == pytest.approx(0.25, abs=1e-3)
+    x, fx = loc_min_solve(lambda t: f(t, 0.25), 0.001, 0.999, 1e-8)
+    assert x == pytest.approx(0.25, abs=1e-3)
+    assert fx == f(x, 0.25)
     assert all(0.001 <= t <= 0.999 for t in seen)
 
 
@@ -294,5 +302,9 @@ def test_brent_validation_and_budget():
 @settings(deadline=None)
 @given(st.floats(0.05, 0.95), st.floats(1.0, 50.0))
 def test_brent_recovers_parabola_vertex(center, curvature):
-    got = loc_min_solve(lambda t: curvature * (t - center) ** 2, 0.0, 1.0, 1e-9)
-    assert abs(got - center) < 1e-5
+    def f(t):
+        return curvature * (t - center) ** 2
+
+    x, fx = loc_min_solve(f, 0.0, 1.0, 1e-9)
+    assert abs(x - center) < 1e-5
+    assert fx == f(x)

@@ -183,8 +183,7 @@ def test_search_can_settle_below_n():
 
 
 def test_search_validation():
-    with pytest.raises(ArgumentError):
-        search_opt_seq_len(997, 1, 0.99)
+    # w >= 2 is the window option's rule, checked by estimate_series
     with pytest.raises(ArgumentError):
         search_opt_seq_len(997, 20, 0.90)
     with pytest.raises(ArgumentError):

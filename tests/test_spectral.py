@@ -192,8 +192,10 @@ def test_obj_fun_lw_power_law_minimum():
     h0 = 0.7
     freq = np.arange(1, 1025) / 2048
     data = LwObjectiveData(freq, freq ** (1.0 - 2.0 * h0))
-    hurst = loc_min_solve(lambda h: obj_fun_lw(h, data), 0.001, 0.999, 1e-8)
+    hurst, psi = loc_min_solve(lambda h: obj_fun_lw(h, data),
+                               0.001, 0.999, 1e-8)
     assert hurst == pytest.approx(h0, abs=1e-6)
+    assert psi == obj_fun_lw(hurst, data)
 
 
 def test_lw_objective_data_validation():
@@ -209,6 +211,22 @@ def test_est_lw_white_noise_and_surface():
     assert "objective" in res.diagnostics
     assert res.diagnostics["residual_norm"] is None
     assert res.diagnostics["n_points"] == 1500
+
+
+@pytest.mark.parametrize("hurst, seed", [(0.3, 1), (0.5, 2), (0.8, 3)])
+def test_est_lw_evaluates_no_hurst_twice(hurst, seed, monkeypatch):
+    # the objective comes from the minimizer, not from one more evaluation
+    calls = []
+
+    def recorded(h, data):
+        calls.append((h, obj_fun_lw(h, data)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectral, "obj_fun_lw", recorded)
+    res = est_lw(gen_fgn(FgnSpec(hurst, 3000, seed)))
+    seen = dict(calls)
+    assert len(seen) == len(calls)
+    assert res.diagnostics["objective"] == seen[res.hurst]
 
 
 def test_est_lw_validation():

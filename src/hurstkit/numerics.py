@@ -97,13 +97,14 @@ def fit_power_law(x, y, flag):
 
     `x` and `y` are float arrays of two or more pairs, not all x equal, as
     live_scales returns them; an entry that is not finite and positive is a
-    DomainError naming its (1-based) index.  Returns (fit, l2 norm of the
-    log-residuals); the slope fitter every log-log estimator uses.
+    DomainError naming its (1-based) index, looked for only when the min/max
+    test fails.  Returns (fit, l2 norm of the log-residuals); the slope
+    fitter every log-log estimator uses.
     """
     for name, v in (("x", x), ("y", y)):
-        bad = np.flatnonzero(~(np.isfinite(v) & (v > 0)))
-        if bad.size:
-            i = int(bad[0])
+        if not (np.minimum.reduce(v) > 0.0
+                and np.maximum.reduce(v) < math.inf):
+            i = int(np.flatnonzero(~(np.isfinite(v) & (v > 0)))[0])
             value = float(v[i])
             kind = "non-positive" if math.isfinite(value) else "non-finite"
             raise DomainError(f"{kind} {name} entry at index {i + 1}: {value}")

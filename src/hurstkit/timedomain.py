@@ -40,7 +40,7 @@ from . import _cpus
 from .aggregation import clip_hurst, fun_cm_lsv
 from .errors import DegenerateSequenceError, DomainError, NoPartitionError
 from .numerics import fit_power_law, fixed_point_solve, lad_lines
-from .numerics import linear_regr_solver  # noqa: F401 -- perfbench traces it
+from .numerics import linear_regr_solver
 # as_series and seq_partition are not called here; perfbench traces both names
 from .partition import (  # noqa: F401
     as_series,
@@ -113,16 +113,29 @@ def _profile(x, arr):
 def _live_segments(spread, m, cause):
     """Keep the segments of size m whose spread is above 0.
 
-    Returns the keep mask and the number of segments dropped; a scale that
-    loses every segment is a degenerate series, which `cause` describes.  A
-    spread that overflowed to inf or NaN is a DomainError, checked first.
+    Returns their index, a boolean mask or slice(None) when every segment
+    is live, and the number dropped; a scale that loses every segment is a
+    degenerate series, which `cause` describes.  A spread (a square root,
+    so never below 0) that overflowed to inf or NaN is a DomainError,
+    checked first.  One min and one max pass (np.minimum/np.maximum.reduce,
+    which propagate NaN) decide what np.isfinite(spread).all() and
+    (spread > 0).any() would.
     """
-    if not np.isfinite(spread).all():
+    lo = np.minimum.reduce(spread)
+    hi = np.maximum.reduce(spread)
+    if not hi < math.inf:
         raise DomainError(f"the spread of a segment of size {m} overflows")
-    keep = spread > 0.0
-    if not keep.any():
+    if not hi > 0.0:
         raise DegenerateSequenceError(f"every segment of size {m} {cause}")
-    return keep, int(keep.size - keep.sum())
+    if lo > 0.0:
+        return slice(None), 0
+    keep = spread > 0.0
+    return keep, int(keep.size - np.count_nonzero(keep))
+
+
+def _mean(values):
+    """values.mean() of a 1-D float array, by the ufunc .mean() calls."""
+    return float(np.add.reduce(values) / values.size)
 
 
 def _grand_mean_factor(scales, n_opt, hurst, r):
@@ -152,28 +165,45 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
     (0, 1).  An uncorrected estimate outside (0, 1) -- a trend, a random
     walk -- has no fGn model to correct towards and is reported as it is.
 
-    Block means are differences of the profile at every m-th sample; a
-    scale whose statistic is 0 is dropped by results.live_scales.
+    Block means are differences of the profile at every m-th sample, one
+    in-place subtraction that is bitwise np.diff(..., prepend=0.0); the r=2
+    statistic runs the ufuncs np.var(ddof=1) runs, in its order.  A scale
+    whose statistic is 0 is dropped by results.live_scales.  Each refit
+    passes the design [1, ln m], built once, to linear_regr_solver as
+    fit_power_law would; corrected statistics that fail its min/max test
+    for finite and positive go to fit_power_law, whose DomainError names
+    the entry.
     """
     arr, n_opt, factors = _partitioned(x, w)
     y = _profile(x, arr)
 
     def scale_stat(m):
-        means = np.diff(y[m - 1 : n_opt : m], prepend=0.0) / m
+        means = y[m - 1 : n_opt : m].copy()
+        means[1:] -= y[m - 1 : n_opt - m : m]
+        means /= m
         if r == 1:
-            return float(np.abs(means).mean())  # grand mean is 0
-        return float(np.var(means, ddof=1))
+            return _mean(np.abs(means, out=means))  # grand mean is 0
+        means -= np.add.reduce(means, keepdims=True) / means.size
+        np.square(means, out=means)
+        return float(np.add.reduce(means) / (means.size - 1))
 
     scales, stats, excluded = live_scales(
         factors, [scale_stat(m) for m in factors]
     )
+    t = np.log(scales)
+    design = np.column_stack([np.ones_like(t), t])
 
-    def corrected_fit(hurst):
+    def corrected(hurst):
         c = _grand_mean_factor(scales, n_opt, hurst, r)
-        return fit_power_law(scales, stats / c ** (r / 2.0), flag)
+        return stats / c ** (r / 2.0)
 
     def corrected_hurst(hurst):
-        return clip_hurst(1.0 + corrected_fit(hurst)[0].slope / r)
+        v = corrected(hurst)
+        if np.minimum.reduce(v) > 0.0 and np.maximum.reduce(v) < math.inf:
+            fit = linear_regr_solver(design, np.log(v), flag)
+        else:
+            fit, _ = fit_power_law(scales, v, flag)
+        return clip_hurst(1.0 + fit.slope / r)
 
     fit, resid = fit_power_law(scales, stats, flag)
     uncorrected = 1.0 + fit.slope / r
@@ -182,7 +212,7 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
         hurst = fixed_point_solve(
             corrected_hurst, clip_hurst(uncorrected), _CENTRAL_EPS
         )
-        _, resid = corrected_fit(hurst)
+        _, resid = fit_power_law(scales, corrected(hurst), flag)
     return build_result(
         "am" if r == 1 else "av",
         hurst,
@@ -244,7 +274,8 @@ def _detrended_stds(segments, flag):
     tc.  The residual is formed explicitly rather than as sum z^2 - b^2 sum
     tc^2: that difference cancels on near-linear rows and can even come out
     negative, while the explicit residual of a row that detrends exactly is
-    exactly 0, which the zero-spread exclusion in est_dfa relies on.  For
+    exactly 0, which the zero-spread exclusion in est_dfa relies on.  The
+    row means are .mean(axis=1)'s own np.add.reduce and division.  For
     flag 1 one lad_lines call fits the l1 lines of all rows.  A row of two
     points, which either line passes through only up to rounding, gives 0
     at both flags.
@@ -255,7 +286,7 @@ def _detrended_stds(segments, flag):
     t = np.arange(1.0, m + 1.0)
     if flag == 2:
         tc = t - (m + 1) / 2.0
-        resid = segments - segments.mean(axis=1, keepdims=True)
+        resid = segments - np.add.reduce(segments, axis=1, keepdims=True) / m
         resid -= ((resid @ tc) / (tc @ tc))[:, None] * tc
         return np.sqrt(np.einsum("ij,ij->i", resid, resid) / (m - 1))
     a, b = lad_lines(t, segments)
@@ -281,7 +312,7 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     def scale_stat(m):
         stds = _detrended_stds(z.reshape(n_opt // m, m), flag)
         keep, dropped = _live_segments(stds, m, "detrends exactly")
-        return float(stds[keep].mean()), dropped
+        return _mean(stds[keep]), dropped
 
     stats, dropped = zip(*_map_scales(scale_stat, factors, n_opt))
 
@@ -311,20 +342,23 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
     """Rescaled-range analysis; optionally Anis-Lloyd corrected.
 
     Per segment: range of the locally-demeaned cumulative sum over the local
-    std.  `corrected` replaces <R/S>(m) by <R/S>(m) - E[R/S](m) + sqrt(pi*m/2)
+    std.  Row means, running sums and extremes are bitwise those of .mean,
+    np.cumsum, .max and .min, taken by the ufunc each of them calls.
+    `corrected` replaces <R/S>(m) by <R/S>(m) - E[R/S](m) + sqrt(pi*m/2)
     before the fit (off by default; it under-estimates for H > 0.5).
     """
     arr, n_opt, factors = _partitioned(x, w)
 
     def scale_ratio(m):
         segments = arr[:n_opt].reshape(n_opt // m, m)
-        bias = segments - segments.mean(axis=1, keepdims=True)
+        bias = segments - np.add.reduce(segments, axis=1, keepdims=True) / m
         # the rows are demeaned already: std(ddof=1) without a second mean
         stds = np.sqrt(np.einsum("ij,ij->i", bias, bias) / (m - 1))
-        profile = np.cumsum(bias, axis=1, out=bias)  # in place: one N-array
-        ranges = profile.max(axis=1) - profile.min(axis=1)
+        profile = np.add.accumulate(bias, axis=1, out=bias)  # in place
+        ranges = (np.maximum.reduce(profile, axis=1)
+                  - np.minimum.reduce(profile, axis=1))
         keep, dropped = _live_segments(stds, m, "is constant")
-        ratio = float((ranges[keep] / stds[keep]).mean())
+        ratio = _mean(ranges[keep] / stds[keep])
         if corrected:
             ratio = ratio - expected_rs(m) + math.sqrt(math.pi * m / 2.0)
         return ratio, dropped

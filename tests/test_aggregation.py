@@ -94,6 +94,22 @@ def test_block_profile_matches_per_scale_loops(n):
     np.testing.assert_allclose(profile, direct, rtol=1e-12, atol=0)
 
 
+def test_block_profile_lone_scales_match_per_scale_loop():
+    # 370 of the 622 block counts at n = 100003 hold one scale each
+    n = 100003
+    x = rand_series(n, n)
+    m_max = n // 10
+    assert np.array_equal(_block_sum_std_profile(x, m_max),
+                          running_total_profile(x, m_max))
+    # running totals of a series with mean 2 lose digits as n grows: against
+    # reshaped block sums this one is off by up to 1.8e-12 relative, and the
+    # standardized series est_lssd passes by 5e-15
+    z = (x - x.mean()) / sample_std(x)
+    direct = np.array([block_sum_std(z, m) for m in range(1, m_max + 1)])
+    np.testing.assert_allclose(_block_sum_std_profile(z, m_max), direct,
+                               rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # scaling-correction helpers
 

@@ -22,6 +22,7 @@ import pytest
 
 import hurstkit
 from hurstkit import _cpus, timedomain
+from hurstkit.aggregation import clip_hurst
 from hurstkit.errors import (
     ArgumentError,
     DegenerateSequenceError,
@@ -30,11 +31,14 @@ from hurstkit.errors import (
     InsufficientDataError,
 )
 from hurstkit.generators import FgnSpec, fgn_autocorr, gen_fgn
+from hurstkit.numerics import fit_power_law, fixed_point_solve
 from hurstkit.partition import cumulative_bias, demeaned, search_opt_seq_len
+from hurstkit.results import live_scales
 from hurstkit.timedomain import (
     _detrended_stds,
     _grand_mean_factor,
     _higuchi_lag,
+    _live_segments,
     est_central,
     est_dfa,
     est_ghe,
@@ -182,6 +186,52 @@ def test_central_near_unit_hurst_is_finite_and_warning_free():
             for r in (1, 2):
                 c = _grand_mean_factor(np.array([10.0, 100.0]), 2000, 1.0 - 1e-6, r)
                 assert np.all(c > 0.0) and np.all(np.isfinite(c))
+
+
+def np_diff_central(x, w, r, flag):
+    """est_central as written before its ufunc rewrite, kept as an oracle:
+    block means by np.diff, np.var, and one fit_power_law per refit.
+    Returns (hurst, uncorrected_hurst, residual_norm)."""
+    arr = demeaned(x)
+    n_opt, factors = search_opt_seq_len(arr.size, w)
+    y = cumulative_bias(arr)
+
+    def scale_stat(m):
+        means = np.diff(y[m - 1 : n_opt : m], prepend=0.0) / m
+        if r == 1:
+            return float(np.abs(means).mean())
+        return float(np.var(means, ddof=1))
+
+    scales, stats, _ = live_scales(factors, [scale_stat(m) for m in factors])
+
+    def corrected_fit(hurst):
+        c = _grand_mean_factor(scales, n_opt, hurst, r)
+        return fit_power_law(scales, stats / c ** (r / 2.0), flag)
+
+    def corrected_hurst(hurst):
+        return clip_hurst(1.0 + corrected_fit(hurst)[0].slope / r)
+
+    fit, resid = fit_power_law(scales, stats, flag)
+    uncorrected = 1.0 + fit.slope / r
+    hurst = uncorrected
+    if 0.0 < uncorrected < 1.0:
+        hurst = fixed_point_solve(
+            corrected_hurst, clip_hurst(uncorrected), timedomain._CENTRAL_EPS
+        )
+        _, resid = corrected_fit(hurst)
+    return hurst, uncorrected, resid
+
+
+@pytest.mark.parametrize("length, w", [(30000, 50), (2000, 10)])
+@pytest.mark.parametrize("hurst", [0.3, 0.7, 0.9])
+@pytest.mark.parametrize("flag", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+def test_central_is_bitwise_the_np_diff_loop(r, flag, hurst, length, w):
+    x = gen_fgn(FgnSpec(hurst, length, 11))
+    res = est_central(x, w=w, r=r, flag=flag)
+    got = (res.hurst, res.diagnostics["uncorrected_hurst"],
+           res.diagnostics["residual_norm"])
+    assert got == np_diff_central(x, w, r, flag)
 
 
 def test_central_validation_and_degenerate():
@@ -469,6 +519,71 @@ def test_rs_in_place_profile_is_bitwise_two_buffer_form(monkeypatch):
     assert got == want
 
 
+def mask_scale_stats(x, w, method, corrected=False):
+    """Per scale, (statistic, segments dropped) of rs or dfa (flag 2) as
+    written before their ufunc rewrite: .mean, np.cumsum, .max, .min and a
+    boolean mask of the live segments."""
+    arr = demeaned(x)
+    n_opt, factors = search_opt_seq_len(arr.size, w)
+    z = cumulative_bias(arr)[:n_opt]
+    out = []
+    for m in factors:
+        if method == "rs":
+            segments = arr[:n_opt].reshape(n_opt // m, m)
+            bias = segments - segments.mean(axis=1, keepdims=True)
+            spread = np.sqrt(np.einsum("ij,ij->i", bias, bias) / (m - 1))
+            profile = np.cumsum(bias, axis=1, out=bias)
+            ranges = profile.max(axis=1) - profile.min(axis=1)
+        else:
+            segments = z.reshape(n_opt // m, m)
+            tc = np.arange(1.0, m + 1.0) - (m + 1) / 2.0
+            resid = segments - segments.mean(axis=1, keepdims=True)
+            resid -= ((resid @ tc) / (tc @ tc))[:, None] * tc
+            spread = np.sqrt(np.einsum("ij,ij->i", resid, resid) / (m - 1))
+        keep = spread > 0.0
+        if method == "rs":
+            stat = float((ranges[keep] / spread[keep]).mean())
+            if corrected:
+                stat = stat - expected_rs(m) + math.sqrt(math.pi * m / 2.0)
+        else:
+            stat = float(spread[keep].mean())
+        out.append((stat, int(keep.size - keep.sum())))
+    return out
+
+
+def _zero_tail():
+    # integers summing to 0, then zeros: the demeaned series and its profile
+    # are exactly 0 over the tail, so segments drop there in rs and dfa
+    x = np.zeros(3000)
+    x[:1500] = np.random.Generator(np.random.PCG64(9)).integers(-9, 10, 1500)
+    x[0] -= x.sum()
+    return x
+
+
+@pytest.mark.parametrize("estimate, method, corrected", [
+    (lambda x: est_rs(x, w=10), "rs", False),
+    (lambda x: est_rs(x, w=10, corrected=True), "rs", True),
+    (lambda x: est_dfa(x, w=10), "dfa", False),
+], ids=["rs", "rs-corrected", "dfa"])
+@pytest.mark.parametrize("case", ["fgn", "zero-tail"])
+def test_scale_stats_are_bitwise_the_mask_formulas(monkeypatch, estimate,
+                                                   method, corrected, case):
+    x = gen_fgn(FgnSpec(0.7, 30000, 4)) if case == "fgn" else _zero_tail()
+    got = []
+    scale_map = timedomain._map_scales
+
+    def recording_map(stat, factors, n_opt):
+        stats = scale_map(stat, factors, n_opt)
+        got.extend(stats)
+        return stats
+
+    monkeypatch.setattr(timedomain, "_map_scales", recording_map)
+    estimate(x)
+    want = mask_scale_stats(x, 10, method, corrected)
+    assert got == want
+    assert (sum(dropped for _, dropped in want) > 0) is (case == "zero-tail")
+
+
 def test_rs_corrected_closer_to_half_on_white_noise():
     # the small-sample correction exists to remove the classic upward bias
     errs_plain, errs_corr = [], []
@@ -499,6 +614,34 @@ def test_overflowed_segment_spreads_are_a_domain_error(estimate):
     with pytest.raises(DomainError,
                        match="^the spread of a segment of size 50 overflows$"):
         estimate(x)
+
+
+def mask_live_segments(spread, m, cause):
+    """_live_segments as written before its min/max passes."""
+    if not np.isfinite(spread).all():
+        raise DomainError(f"the spread of a segment of size {m} overflows")
+    keep = spread > 0.0
+    if not keep.any():
+        raise DegenerateSequenceError(f"every segment of size {m} {cause}")
+    return keep, int(keep.size - keep.sum())
+
+
+def _outcome(live, spread):
+    try:
+        keep, dropped = live(spread, 7, "is constant")
+    except HurstkitError as exc:
+        return type(exc), str(exc)
+    return spread[keep].tolist(), dropped
+
+
+@pytest.mark.parametrize("spread", [
+    [math.inf], [math.nan, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 2.0],
+    [0.0, math.nan], [0.0, math.inf], [2.0, 0.0, 3.0, 0.0],
+])
+def test_live_segments_is_the_mask_rule(spread):
+    spread = np.array(spread)
+    assert _outcome(_live_segments, spread) == _outcome(mask_live_segments,
+                                                        spread)
 
 
 # ---------------------------------------------------------------------------

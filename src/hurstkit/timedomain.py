@@ -113,22 +113,18 @@ def _profile(x, arr):
 def _live_segments(spread, m, cause):
     """Keep the segments of size m whose spread is above 0.
 
-    Returns their index, a boolean mask or slice(None) when every segment
-    is live, and the number dropped; a scale that loses every segment is a
-    degenerate series, which `cause` describes.  A spread (a square root,
-    so never below 0) that overflowed to inf or NaN is a DomainError,
-    checked first.  One min and one max pass (np.minimum/np.maximum.reduce,
-    which propagate NaN) decide what np.isfinite(spread).all() and
+    Returns the keep mask and the number of segments dropped; a scale that
+    loses every segment is a degenerate series, which `cause` describes.  A
+    spread (a square root, so never below 0) that overflowed to inf or NaN
+    is a DomainError, checked first.  One max pass (np.maximum.reduce, which
+    propagates NaN) decides what np.isfinite(spread).all() and
     (spread > 0).any() would.
     """
-    lo = np.minimum.reduce(spread)
     hi = np.maximum.reduce(spread)
     if not hi < math.inf:
         raise DomainError(f"the spread of a segment of size {m} overflows")
     if not hi > 0.0:
         raise DegenerateSequenceError(f"every segment of size {m} {cause}")
-    if lo > 0.0:
-        return slice(None), 0
     keep = spread > 0.0
     return keep, int(keep.size - np.count_nonzero(keep))
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Per-method cost of one short path: Python-level calls and wall time.
 
-Each fGn path (N = 3e4 by default, seeds 42, 43, ... at each H of 0.3, 0.5
-and 0.7) is wrapped in one partition.PreparedSeries and run through the
-thirteen methods in METHODS order, as bench.run_fgn_suite runs it; so am
-pays for the partition and the profile that av, dfa and rs then read, and
+Each fGn path (N = 3e4, seeds 42, 43, ... at each H of 0.3, 0.5 and 0.7)
+is wrapped in one partition.PreparedSeries and run through the thirteen
+methods in METHODS order, as bench.run_fgn_suite runs it; so am pays for the partition and the profile that av, dfa and rs then read, and
 lssd for the block-sum profile lsv reads.  For every method and H the
 script prints
 
@@ -34,6 +33,7 @@ import numpy as np
 from hurstkit import METHODS, FgnSpec, estimate_series, gen_fgn
 from hurstkit.partition import PreparedSeries
 
+LENGTH = 30000
 H_VALUES = (0.3, 0.5, 0.7)
 FIRST_SEED = 42
 
@@ -66,21 +66,20 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--paths", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--length", type=int, default=30000)
     args = parser.parse_args(argv)
 
     seeds = range(FIRST_SEED, FIRST_SEED + args.paths)
     calls = {}
     times = {}
     for hurst in H_VALUES:
-        paths = [gen_fgn(FgnSpec(hurst, args.length, s)) for s in seeds]
+        paths = [gen_fgn(FgnSpec(hurst, LENGTH, s)) for s in seeds]
         runs = [path_calls(path) for path in paths]
         calls[hurst] = {m: np.mean([run[m] for run in runs]) for m in METHODS}
         runs = [path_times(p) for _ in range(args.repeats) for p in paths]
         times[hurst] = {m: np.percentile([run[m] for run in runs], 25) * 1e3
                         for m in METHODS}
 
-    print(f"# N={args.length}, seeds {seeds.start}-{seeds.stop - 1}, "
+    print(f"# N={LENGTH}, seeds {seeds.start}-{seeds.stop - 1}, "
           f"{args.repeats} timed repeats; calls per path (mean), ms per path "
           f"(lower quartile); Python {platform.python_version()}, "
           f"numpy {np.__version__}, {platform.machine()}")

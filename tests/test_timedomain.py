@@ -617,7 +617,7 @@ def test_overflowed_segment_spreads_are_a_domain_error(estimate):
 
 
 def mask_live_segments(spread, m, cause):
-    """_live_segments as written before its min/max passes."""
+    """_live_segments as written before its max pass."""
     if not np.isfinite(spread).all():
         raise DomainError(f"the spread of a segment of size {m} overflows")
     keep = spread > 0.0

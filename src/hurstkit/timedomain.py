@@ -30,6 +30,10 @@ rule, results.live_scales.  am and av take each block mean as a difference
 of the profile; the window sizes of dfa and rs are independent passes over
 the prefix, so _map_scales spreads them over up to four threads once the
 prefix is long enough to repay it; each scale is computed as on one thread.
+am and av fit every window size of the partition, as the paper does; dfa
+and rs fit at most _MAX_FIT_SIZES of them (_fit_sizes), all of them up to
+that count and otherwise the divisors nearest a log-even grid, so a long
+series pays 48 passes over its prefix instead of 176 at N = 1e6.
 """
 
 import math
@@ -63,6 +67,10 @@ _CENTRAL_EPS = 1e-12
 _THREADED_MIN_SAMPLES = 200_000
 # Each worker holds about three n_opt-float temporaries; this bounds memory.
 _MAX_WORKERS = 4
+# dfa and rs fit at most this many window sizes (_fit_sizes).  Beyond it a
+# pass per size buys little accuracy: tools/scale_ablation.py keeps the sd
+# within 5 % of every divisor's at N <= 1e6, where 32 sizes lost up to 10 %
+_MAX_FIT_SIZES = 48
 
 
 def _map_scales(stat, factors, n_opt):
@@ -103,6 +111,22 @@ def _partitioned(x, w):
             f"{len(factors)} window size; need at least 2"
         )
     return arr, n_opt, factors
+
+
+def _fit_sizes(factors):
+    """The window sizes dfa and rs visit, out of the partition's `factors`.
+
+    Up to _MAX_FIT_SIZES sizes, all of them, as the same list; beyond, the
+    divisor nearest in log to each point of a log-even grid of
+    _MAX_FIT_SIZES points from the smallest size to the largest, each kept
+    once, so both ends stay and the list stays ascending.
+    """
+    if len(factors) <= _MAX_FIT_SIZES:
+        return factors
+    logs = np.log(factors)
+    grid = np.linspace(logs[0], logs[-1], _MAX_FIT_SIZES)
+    nearest = np.abs(logs - grid[:, None]).argmin(axis=1)
+    return [factors[i] for i in np.unique(nearest)]
 
 
 def _profile(x, arr):
@@ -300,9 +324,11 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
     the per-segment residual stds.  Segments detrended exactly (zero
     residual) are dropped; a scale losing all its segments is a degenerate
     series, such as a 0/1 step.  Note m=2 always detrends exactly, so DFA
-    needs w >= 3 in practice.
+    needs w >= 3 in practice.  Only the window sizes _fit_sizes keeps are
+    visited: `n_points` and `excluded_segments` count those.
     """
     arr, n_opt, factors = _partitioned(x, w)
+    sizes = _fit_sizes(factors)
     z = _profile(x, arr)[:n_opt]
 
     def scale_stat(m):
@@ -310,10 +336,10 @@ def est_dfa(x, w=DEFAULT_WINDOW, flag=2):
         keep, dropped = _live_segments(stds, m, "detrends exactly")
         return _mean(stds[keep]), dropped
 
-    stats, dropped = zip(*_map_scales(scale_stat, factors, n_opt))
+    stats, dropped = zip(*_map_scales(scale_stat, sizes, n_opt))
 
     return fit_result(
-        "dfa", factors, stats, flag, {"window": w, "norm": flag},
+        "dfa", sizes, stats, flag, {"window": w, "norm": flag},
         excluded_segments=sum(dropped), discarded_samples=arr.size - n_opt,
     )
 
@@ -341,9 +367,12 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
     std.  Row means, running sums and extremes are bitwise those of .mean,
     np.cumsum, .max and .min, taken by the ufunc each of them calls.
     `corrected` replaces <R/S>(m) by <R/S>(m) - E[R/S](m) + sqrt(pi*m/2)
-    before the fit (off by default; it under-estimates for H > 0.5).
+    before the fit (off by default; it under-estimates for H > 0.5).  Only
+    the window sizes _fit_sizes keeps are visited: `n_points` and
+    `excluded_segments` count those.
     """
     arr, n_opt, factors = _partitioned(x, w)
+    sizes = _fit_sizes(factors)
 
     def scale_ratio(m):
         segments = arr[:n_opt].reshape(n_opt // m, m)
@@ -359,10 +388,10 @@ def est_rs(x, w=DEFAULT_WINDOW, flag=2, corrected=False):
             ratio = ratio - expected_rs(m) + math.sqrt(math.pi * m / 2.0)
         return ratio, dropped
 
-    stats, dropped = zip(*_map_scales(scale_ratio, factors, n_opt))
+    stats, dropped = zip(*_map_scales(scale_ratio, sizes, n_opt))
 
     return fit_result(
-        "rs", factors, stats, flag,
+        "rs", sizes, stats, flag,
         {"window": w, "norm": flag, "corrected": bool(corrected)},
         excluded_segments=sum(dropped), discarded_samples=arr.size - n_opt,
     )

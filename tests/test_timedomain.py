@@ -19,6 +19,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hurstkit
 from hurstkit import _cpus, timedomain
@@ -32,10 +34,16 @@ from hurstkit.errors import (
 )
 from hurstkit.generators import FgnSpec, fgn_autocorr, gen_fgn
 from hurstkit.numerics import fit_power_law, fixed_point_solve
-from hurstkit.partition import cumulative_bias, demeaned, search_opt_seq_len
+from hurstkit.partition import (
+    PreparedSeries,
+    cumulative_bias,
+    demeaned,
+    search_opt_seq_len,
+)
 from hurstkit.results import live_scales
 from hurstkit.timedomain import (
     _detrended_stds,
+    _fit_sizes,
     _grand_mean_factor,
     _higuchi_lag,
     _live_segments,
@@ -520,14 +528,14 @@ def test_rs_in_place_profile_is_bitwise_two_buffer_form(monkeypatch):
 
 
 def mask_scale_stats(x, w, method, corrected=False):
-    """Per scale, (statistic, segments dropped) of rs or dfa (flag 2) as
-    written before their ufunc rewrite: .mean, np.cumsum, .max, .min and a
-    boolean mask of the live segments."""
+    """Per visited scale, (statistic, segments dropped) of rs or dfa (flag
+    2) as written before their ufunc rewrite: .mean, np.cumsum, .max, .min
+    and a boolean mask of the live segments."""
     arr = demeaned(x)
     n_opt, factors = search_opt_seq_len(arr.size, w)
     z = cumulative_bias(arr)[:n_opt]
     out = []
-    for m in factors:
+    for m in _fit_sizes(factors):
         if method == "rs":
             segments = arr[:n_opt].reshape(n_opt // m, m)
             bias = segments - segments.mean(axis=1, keepdims=True)
@@ -582,6 +590,63 @@ def test_scale_stats_are_bitwise_the_mask_formulas(monkeypatch, estimate,
     want = mask_scale_stats(x, 10, method, corrected)
     assert got == want
     assert (sum(dropped for _, dropped in want) > 0) is (case == "zero-tail")
+
+
+# ---------------------------------------------------------------------------
+# window sizes dfa and rs visit
+
+
+@pytest.mark.parametrize("n, w", [(10000, 50), (30000, 50), (30000, 20)])
+def test_fit_sizes_returns_a_short_partition_unchanged(n, w):
+    _, factors = search_opt_seq_len(n, w)
+    assert timedomain._MAX_FIT_SIZES == 48
+    assert len(factors) <= 48
+    assert _fit_sizes(factors) is factors
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(2, 10**7), min_size=49, max_size=400,
+                unique=True).map(sorted))
+def test_fit_sizes_thins_a_long_partition(factors):
+    sizes = _fit_sizes(factors)
+    assert 2 <= len(sizes) <= 48
+    assert sizes[0] == factors[0] and sizes[-1] == factors[-1]
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    assert set(sizes) <= set(factors)
+    assert all(type(m) is int for m in sizes)
+
+
+def test_fit_sizes_keeps_each_nearest_divisor_once():
+    # a gap in log spacing: many grid points fall nearest to 60 or 1e6
+    sizes = _fit_sizes(list(range(2, 61)) + [10**6])
+    assert sizes[-2:] == [60, 10**6]
+    assert len(sizes) < 48
+
+
+def test_dfa_and_rs_fit_at_most_48_sizes_at_1e5():
+    # 54 window sizes: dfa and rs visit 48 of them, am and av every one
+    x = PreparedSeries(gen_fgn(FgnSpec(0.7, 100000, 4)))
+    for estimate in (est_dfa, est_rs):
+        assert estimate(x).diagnostics["n_points"] == 48
+    for r in (1, 2):
+        assert est_central(x, r=r).diagnostics["n_points"] == 54
+
+
+def test_committed_ablation_meets_its_rule():
+    # tools/scale_ablation.py's table: in every cell the capped sizes keep
+    # the sd within 5 % of every divisor's and move the mean by <= 0.001
+    path = Path(__file__).resolve().parents[1] / "tools" / "scale_ablation.tsv"
+    header, *rows = [line.split("\t") for line in
+                     path.read_text(encoding="utf-8").splitlines()]
+    cells = [dict(zip(header, row)) for row in rows]
+    assert {(c["n"], c["w"]) for c in cells} == {
+        ("100000", "50"), ("300000", "50"), ("1000000", "50"), ("30000", "10")}
+    assert len(cells) == 4 * 4 * 2
+    for cell in cells:
+        assert float(cell["sd_ratio"]) <= 1.05, cell
+        assert abs(float(cell["difference"])) <= 0.001, cell
+        assert cell["rule"] == "held"
+        assert int(cell["sizes_capped"]) <= 48 < int(cell["sizes_every"])
 
 
 def test_rs_corrected_closer_to_half_on_white_noise():

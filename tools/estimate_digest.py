@@ -26,8 +26,9 @@ FLOOR_LENGTHS, one below and at each method's minimum length (ghe 21, tta 41,
 awc/vvl 64, hm 65, pm/lw/lssd/lsv 100).
 Every case runs through all 13 methods under each option set of OPTIONS,
 one task per case and method on a process pool with a worker per usable CPU.
-On a 2-vCPU VM the pool of two took 24 s against 44 s serially (one CPU);
-the slowest task is dfa on the N = 3e5 case, about 9 s with norm=1.
+On a 2-vCPU VM the pool of two took 16 s against 29 s serially (one CPU);
+the slowest task is dfa on the N = 3e5 case, about 5 s with norm=1, where it
+visits 48 of the partition's 90 window sizes.
 """
 
 import multiprocessing

@@ -1,10 +1,11 @@
 """Block-sum least-squares estimators (LSSD and LSV).
 
 Both methods aggregate the series into non-overlapping blocks of every size
-m = 1..floor(N/10), take the unbiased std s_m of the block sums, and fit the
-self-similar scaling E[s_m] = sigma * c(m,H) * m^H with sigma profiled out
-analytically.  LSSD solves the resulting fixed-point equation H = Phi(H);
-LSV minimizes a quartic fitting error on [0.001, 0.999].
+m = 1..min(N//10, isqrt(N)), take the unbiased std s_m of the block sums, and
+fit the self-similar scaling E[s_m] = sigma * c(m,H) * m^H with sigma profiled
+out analytically; the paper's sizes above sqrt(N) are left out (README, "Block
+sizes of lssd and lsv").  LSSD solves the resulting fixed-point equation
+H = Phi(H); LSV minimizes a quartic fitting error on [0.001, 0.999].
 
 The input is standardized before blocking: partition.demeaned checks the
 floor of 100 samples and subtracts the mean, and the result is divided by
@@ -18,6 +19,7 @@ The two methods read the same profile of s_m, built once for both on a
 partition.PreparedSeries.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,30 +61,21 @@ def block_sum_std(x, m):
 def _block_sum_std_profile(arr, m_max):
     """s_m for m = 1..m_max via running-total differences.
 
-    Algebraically identical to calling block_sum_std per scale.  Scales
-    that share a block count k = N//m are handled together: one gather of
-    their block edges from the running totals, then one row-wise std.  Above
-    m = sqrt(N) many scales share each k, so the loop runs about 2*sqrt(N)
-    times rather than m_max times, and no gather holds more than O(N) floats.
-    A scale alone in its group reads its edges as a strided 1-D view
-    instead.  The std runs the ufuncs np.std(ddof=1) runs, in its order,
-    and its closing sqrt(ss / (k - 1)) once for all scales, so the profile
-    is bitwise the same without np.std's per-call overhead.
+    Algebraically identical to calling block_sum_std per scale.  Each scale
+    reads its k + 1 block edges, k = N//m, as a strided view of the running
+    totals.  The std runs the ufuncs np.std(ddof=1) runs, in its order, and
+    its closing sqrt(ss / (k - 1)) once for all scales, so the profile is
+    bitwise the same without np.std's per-call overhead.
     """
     totals = np.concatenate([[0.0], np.cumsum(arr)])
     ks = arr.size // np.arange(1, m_max + 1)
-    bounds = np.flatnonzero(np.diff(ks, prepend=-1, append=-1)).tolist()
     ss = np.empty(m_max)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        k = arr.size // hi  # scales lo+1 .. hi share it
-        if hi - lo == 1:
-            edges = totals[: k * hi + 1 : hi]
-        else:
-            edges = totals[np.arange(lo + 1, hi + 1)[:, None] * np.arange(k + 1)]
-        dev = edges[..., 1:] - edges[..., :-1]
-        dev -= np.add.reduce(dev, axis=-1, keepdims=True) / k
+    for m, k in enumerate(ks.tolist(), 1):
+        edges = totals[: k * m + 1 : m]
+        dev = edges[1:] - edges[:-1]
+        dev -= np.add.reduce(dev) / k
         np.square(dev, out=dev)
-        ss[lo:hi] = np.add.reduce(dev, axis=-1)
+        ss[m - 1] = np.add.reduce(dev)
     return np.sqrt(ss / (ks - 1))
 
 
@@ -199,14 +192,19 @@ def obj_fun_lsv(hurst, ctx):
     return float(b1 - a12 * a12 / a11 + penalty)
 
 
+def _max_block_size(n):
+    """min(N//10, isqrt(N)): each size m has N//m >= 10 and N//m >= m blocks."""
+    return min(n // 10, math.isqrt(n))
+
+
 def _live_block_profile(arr):
-    """live_scales of s_m, m = 1..N//10, for the standardized series."""
+    """live_scales of s_m, m = 1.._max_block_size(N), standardized series."""
     spread = sample_std(arr)
     if spread == 0.0:
         raise DegenerateSequenceError("constant series has no block dispersion")
     arr = arr / spread
 
-    m_max = arr.size // 10
+    m_max = _max_block_size(arr.size)
     return live_scales(
         np.arange(1.0, m_max + 1.0), _block_sum_std_profile(arr, m_max)
     )

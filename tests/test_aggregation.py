@@ -22,12 +22,15 @@ from hurstkit.errors import (
     ArgumentError,
     DegenerateSequenceError,
     InsufficientDataError,
+    NonConvergenceError,
     SingularityError,
     SingularSystemError,
 )
 from hurstkit.generators import FgnSpec, gen_fgn, gen_iid
 from hurstkit.harness import estimate_series
-from hurstkit.partition import sample_std
+from hurstkit.numerics import fixed_point_solve, loc_min_solve
+from hurstkit.partition import PreparedSeries, demeaned, sample_std
+from hurstkit.timedomain import est_central
 
 
 def rand_series(seed, n):
@@ -73,7 +76,7 @@ def test_block_profile_matches_literal():
 
 
 def running_total_profile(x, m_max):
-    """The profile as it ran before scales were grouped: one gather per m."""
+    """The profile by np.std of one gather of block edges per m."""
     totals = np.concatenate([[0.0], np.cumsum(x)])
     out = np.empty(m_max)
     for m in range(1, m_max + 1):
@@ -84,7 +87,9 @@ def running_total_profile(x, m_max):
 
 @pytest.mark.parametrize("n", [1000, 10007, 30000])
 def test_block_profile_matches_per_scale_loops(n):
-    # m_max = N//10 makes many scales share one block count k = N//m
+    # m_max = N//10, the paper's range, as the ablation's every-size arm
+    # runs it: beyond sqrt(N) many sizes share one block count k = N//m,
+    # and each still takes its own strided pass
     x = rand_series(n, n)
     m_max = n // 10
     profile = _block_sum_std_profile(x, m_max)
@@ -95,7 +100,8 @@ def test_block_profile_matches_per_scale_loops(n):
 
 
 def test_block_profile_lone_scales_match_per_scale_loop():
-    # 370 of the 622 block counts at n = 100003 hold one scale each
+    # every size to N//10 of a long series, sizes with a block count of
+    # their own and sizes that share one alike
     n = 100003
     x = rand_series(n, n)
     m_max = n // 10
@@ -273,7 +279,7 @@ def test_est_lssd_white_noise_surface():
         x = np.tile([1.0, -1.0], 2500) + 0.01 * gen_iid("normal", 5000, seed)
         res = est_lssd(x)
         assert res.hurst == aggregation.clip_hurst(0.0)
-        assert res.diagnostics["raw_value"] == pytest.approx(-0.70, abs=0.01)
+        assert res.diagnostics["raw_value"] == pytest.approx(-0.85, abs=0.01)
 
 
 def test_est_lsv_white_noise_surface_and_sandwich():
@@ -329,3 +335,46 @@ def test_lssd_lsv_agree_on_fractional_noise():
         b = est_lsv(x).hurst
         assert abs(a - b) <= 0.03
         assert abs(a - h) <= 0.05 and abs(b - h) <= 0.05
+
+
+def test_block_sizes_stop_at_sqrt_n():
+    # N = 1e5: 316 block sizes, not the paper's 10000; am and av keep every
+    # divisor of the partition
+    x = PreparedSeries(gen_fgn(FgnSpec(0.7, 100000, 4)))
+    for est in (est_lssd, est_lsv):
+        assert est(x).diagnostics["n_points"] == 316
+    for r in (1, 2):
+        assert est_central(x, r=r).diagnostics["n_points"] == 54
+
+
+@pytest.mark.parametrize("n", range(100, 110))
+def test_short_series_keep_every_size_to_n_over_10(n):
+    # isqrt(N) = N//10 = 10 below 110 samples: the paper's sizes, and the
+    # estimates of the np.std profile over them, bitwise
+    x = rand_series(n, n)
+    arr = demeaned(x)
+    stats = running_total_profile(arr / sample_std(arr), n // 10)
+    scales = np.arange(1.0, n // 10 + 1.0)
+    ctx = BlockSumContext(n, 2.0, 50.0, scales, stats)
+    raw = fixed_point_solve(lambda h: ctm_lssd(h, ctx), 0.5, 1e-4)
+    res = est_lssd(x)
+    assert res.diagnostics["n_points"] == 10
+    assert res.hurst == aggregation.clip_hurst(raw)
+    ctx = BlockSumContext(n, 6.0, 50.0, scales, stats)
+    hurst, _ = loc_min_solve(lambda h: obj_fun_lsv(h, ctx), 0.001, 0.999, 1e-4)
+    assert est_lsv(x).hurst == hurst
+
+
+def test_lssd_on_a_slow_sine_fails_fast(monkeypatch):
+    # over every size to N//10 the iteration cycled through its 10^4-step
+    # budget (0.5 s); over the sizes to sqrt(N) it leaves the reals at once
+    calls = []
+
+    def counted(h, ctx):
+        calls.append(h)
+        return ctm_lssd(h, ctx)
+
+    monkeypatch.setattr(aggregation, "ctm_lssd", counted)
+    with pytest.raises(NonConvergenceError):
+        est_lssd(np.sin(0.01 * np.arange(5000)))
+    assert len(calls) < 100

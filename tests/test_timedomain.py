@@ -634,19 +634,27 @@ def test_dfa_and_rs_fit_at_most_48_sizes_at_1e5():
 
 def test_committed_ablation_meets_its_rule():
     # tools/scale_ablation.py's table: in every cell the capped sizes keep
-    # the sd within 5 % of every divisor's and move the mean by <= 0.001
+    # the sd within 5 % of every size's, move the mean by <= 0.001 and fail
+    # no more often
     path = Path(__file__).resolve().parents[1] / "tools" / "scale_ablation.tsv"
     header, *rows = [line.split("\t") for line in
                      path.read_text(encoding="utf-8").splitlines()]
     cells = [dict(zip(header, row)) for row in rows]
     assert {(c["n"], c["w"]) for c in cells} == {
-        ("100000", "50"), ("300000", "50"), ("1000000", "50"), ("30000", "10")}
-    assert len(cells) == 4 * 4 * 2
+        ("100000", "50"), ("300000", "50"), ("1000000", "50"), ("30000", "10"),
+        ("1000", "-"), ("30000", "-"), ("100000", "-"), ("1000000", "-")}
+    assert len(cells) == 8 * 4 * 2
     for cell in cells:
         assert float(cell["sd_ratio"]) <= 1.05, cell
         assert abs(float(cell["difference"])) <= 0.001, cell
+        assert int(cell["failures_capped"]) <= int(cell["failures_every"])
         assert cell["rule"] == "held"
-        assert int(cell["sizes_capped"]) <= 48 < int(cell["sizes_every"])
+        n, every, capped = (int(cell[key]) for key in
+                            ("n", "sizes_every", "sizes_capped"))
+        if cell["method"] in ("dfa", "rs"):
+            assert capped <= 48 < every
+        else:
+            assert (every, capped) == (n // 10, math.isqrt(n))
 
 
 def test_rs_corrected_closer_to_half_on_white_noise():

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .numerics import fixed_point_solve, loc_min_solve
 from .partition import as_series, demeaned, sample_std, shared
-from .results import build_result, live_scales
+from .results import build_result, clip_hurst, live_scales
 
 DEFAULT_WEIGHT_P = 2.0
 DEFAULT_LSV_WEIGHT_P = 6.0
@@ -40,7 +40,6 @@ DEFAULT_PENALTY_Q = 50.0
 DEFAULT_EPSILON = 1e-4
 
 _DM_SINGULARITY_TOL = 1e-12
-_CLAMP = 1e-6
 
 
 def block_sum_std(x, m):
@@ -77,11 +76,6 @@ def _block_sum_std_profile(arr, m_max):
         np.square(dev, out=dev)
         ss[m - 1] = np.add.reduce(dev)
     return np.sqrt(ss / (ks - 1))
-
-
-def clip_hurst(hurst):
-    """Clip an estimate to [_CLAMP, 1 - _CLAMP], just inside (0, 1)."""
-    return min(max(hurst, _CLAMP), 1.0 - _CLAMP)
 
 
 def fun_cm_lssd(m, n_total, hurst):

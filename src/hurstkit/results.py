@@ -6,12 +6,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateSequenceError
-from .numerics import fit_power_law
+from .numerics import fit_power_law, fixed_point_solve, linear_regr_solver
 
 METHODS = (
     "am", "av", "ghe", "hm", "dfa", "rs", "tta",
     "pm", "awc", "vvl", "lw", "lssd", "lsv",
 )
+
+_CLAMP = 1e-6
+_MODEL_EPS = 1e-12  # far below the 1e-9 scale-invariance of the estimates
 
 
 @dataclass
@@ -75,20 +78,57 @@ def live_scales(scales, stats):
     return scales[keep], stats[keep], dropped
 
 
+def clip_hurst(hurst):
+    """Clip an estimate to [_CLAMP, 1 - _CLAMP], just inside (0, 1)."""
+    return min(max(hurst, _CLAMP), 1.0 - _CLAMP)
+
+
 def fit_result(method, scales, stats, flag, config, *, offset=0.0, divisor=1.0,
-               excluded_segments=0, **diagnostics):
+               model=None, excluded_segments=0, **diagnostics):
     """Fit ln stats on ln scales in the flag-selected norm and build the
     result with H = offset + slope / divisor.
 
     The shared tail of the log-log estimators.  The scales live_scales drops
     add to `excluded_segments`; the fit's residual norm and point count fill
     the standard diagnostics, and `diagnostics` passes on to build_result.
+
+    With `model(scales, H)`, the per-scale factors a model puts on the
+    statistics, H solves H = offset + slope(stats / model) / divisor: the
+    plain fit (diagnostic `uncorrected_hurst`) starts a fixed point whose
+    iterates are clipped just inside (0, 1) and which stops once H moves by
+    less than _MODEL_EPS; the residual norm is its last fit's.  A plain fit
+    outside (0, 1) -- a trend, a random walk -- has no model to correct
+    towards and is reported as it is.  A refit passes the design [1, ln m],
+    built once, to linear_regr_solver; corrected statistics that are not all
+    finite and positive go to fit_power_law, whose DomainError names the
+    entry.
     """
     scales, stats, dropped = live_scales(scales, stats)
     fit, resid = fit_power_law(scales, stats, flag)
+    hurst = offset + fit.slope / divisor
+    if model is not None:
+        diagnostics["uncorrected_hurst"] = hurst
+    if model is not None and 0.0 < hurst < 1.0:
+        t = np.log(scales)
+        design = np.column_stack([np.ones_like(t), t])
+
+        def refit(h):
+            v = stats / model(scales, h)
+            if (np.minimum.reduce(v) > 0.0
+                    and np.maximum.reduce(v) < math.inf):
+                fit = linear_regr_solver(design, np.log(v), flag)
+            else:
+                fit, _ = fit_power_law(scales, v, flag)
+            return clip_hurst(offset + fit.slope / divisor)
+
+        # dividing by 0 or overflowing ends in that DomainError, not a warning
+        with np.errstate(divide="ignore", over="ignore"):
+            hurst = fixed_point_solve(refit, clip_hurst(hurst), _MODEL_EPS)
+            _, resid = fit_power_law(scales, stats / model(scales, hurst),
+                                     flag)
     return build_result(
         method,
-        offset + fit.slope / divisor,
+        hurst,
         config,
         residual_norm=resid,
         n_points=len(scales),

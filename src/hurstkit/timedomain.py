@@ -22,8 +22,8 @@ minimum length, so shift invariance holds exactly in floating point whenever
 the shifted inputs demean to identical arrays.  am, av, dfa and rs then
 share one partition step (_partitioned), whose search needs w^2 samples,
 am, av, ghe, hm, dfa and tta one profile (_profile), dfa and rs one rule
-for dropping zero-spread segments (_live_segments), and all but am and av
-end in results.fit_result.  On a partition.PreparedSeries the partition of
+for dropping zero-spread segments (_live_segments), and all seven end in
+results.fit_result.  On a partition.PreparedSeries the partition of
 each w and the profile are built once for all the estimators that read
 them.  Every one of them drops a scale whose statistic is 0 by the same
 rule, results.live_scales.  am and av take each block mean as a difference
@@ -41,11 +41,11 @@ import math
 import numpy as np
 
 from . import _cpus
-from .aggregation import clip_hurst, fun_cm_lsv
+from .aggregation import fun_cm_lsv
 from .errors import DegenerateSequenceError, DomainError, NoPartitionError
-from .numerics import fit_power_law, fixed_point_solve, lad_lines
-from .numerics import linear_regr_solver
-# as_series and seq_partition are not called here; perfbench traces both names
+# as_series, seq_partition and linear_regr_solver are not called here;
+# perfbench traces the names
+from .numerics import lad_lines, linear_regr_solver  # noqa: F401
 from .partition import (  # noqa: F401
     as_series,
     cumulative_bias,
@@ -54,13 +54,9 @@ from .partition import (  # noqa: F401
     seq_partition,
     shared,
 )
-from .results import build_result, fit_result, live_scales
+from .results import fit_result
 
 DEFAULT_WINDOW = 50
-
-# am/av grand-mean correction: stop once successive H move by less than
-# this, far below the 1e-9 scale-invariance the estimates are held to
-_CENTRAL_EPS = 1e-12
 
 # Below this prefix length starting threads costs more than the window sizes
 # save (break-even near 1e5 samples for rs on two cores).
@@ -179,20 +175,14 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
         am: E[mean |deviation|]    ~ sigma m^{H-1} sqrt(1 - k^{2H-2})
 
     by E|Z| = sqrt(2/pi) sd.  H therefore solves H = 1 + slope(stats /
-    c_k(H)^{r/2}) / r, with c_k from _grand_mean_factor.  The ordinary
-    log-log fit (diagnostic `uncorrected_hurst`) starts a fixed-point
-    iteration on the per-scale statistics, each iterate clipped just inside
-    (0, 1).  An uncorrected estimate outside (0, 1) -- a trend, a random
-    walk -- has no fGn model to correct towards and is reported as it is.
+    c_k(H)^{r/2}) / r, with c_k from _grand_mean_factor: the model of
+    results.fit_result, whose fixed point starts from the ordinary log-log
+    fit (diagnostic `uncorrected_hurst`) and reports one outside (0, 1) -- a
+    trend, a random walk -- as it is.
 
     Block means are differences of the profile at every m-th sample, one
     in-place subtraction that is bitwise np.diff(..., prepend=0.0); the r=2
-    statistic runs the ufuncs np.var(ddof=1) runs, in its order.  A scale
-    whose statistic is 0 is dropped by results.live_scales.  Each refit
-    passes the design [1, ln m], built once, to linear_regr_solver as
-    fit_power_law would; corrected statistics that fail its min/max test
-    for finite and positive go to fit_power_law, whose DomainError names
-    the entry.
+    statistic runs the ufuncs np.var(ddof=1) runs, in its order.
     """
     arr, n_opt, factors = _partitioned(x, w)
     y = _profile(x, arr)
@@ -207,41 +197,11 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
         np.square(means, out=means)
         return float(np.add.reduce(means) / (means.size - 1))
 
-    scales, stats, excluded = live_scales(
-        factors, [scale_stat(m) for m in factors]
-    )
-    t = np.log(scales)
-    design = np.column_stack([np.ones_like(t), t])
-
-    def corrected(hurst):
-        c = _grand_mean_factor(scales, n_opt, hurst, r)
-        return stats / c ** (r / 2.0)
-
-    def corrected_hurst(hurst):
-        v = corrected(hurst)
-        if np.minimum.reduce(v) > 0.0 and np.maximum.reduce(v) < math.inf:
-            fit = linear_regr_solver(design, np.log(v), flag)
-        else:
-            fit, _ = fit_power_law(scales, v, flag)
-        return clip_hurst(1.0 + fit.slope / r)
-
-    fit, resid = fit_power_law(scales, stats, flag)
-    uncorrected = 1.0 + fit.slope / r
-    hurst = uncorrected
-    if 0.0 < uncorrected < 1.0:
-        hurst = fixed_point_solve(
-            corrected_hurst, clip_hurst(uncorrected), _CENTRAL_EPS
-        )
-        _, resid = fit_power_law(scales, corrected(hurst), flag)
-    return build_result(
-        "am" if r == 1 else "av",
-        hurst,
-        {"window": w, "r": r, "norm": flag},
-        residual_norm=resid,
-        n_points=len(scales),
-        excluded_segments=excluded,
+    return fit_result(
+        "am" if r == 1 else "av", factors, [scale_stat(m) for m in factors],
+        flag, {"window": w, "r": r, "norm": flag}, offset=1.0, divisor=r,
+        model=lambda m, h: _grand_mean_factor(m, n_opt, h, r) ** (r / 2.0),
         discarded_samples=arr.size - n_opt,
-        uncorrected_hurst=uncorrected,
     )
 
 

@@ -22,6 +22,7 @@ from hurstkit.errors import (
     ArgumentError,
     DataError,
     DegenerateSequenceError,
+    DomainError,
     InsufficientDataError,
     NoPartitionError,
     NonConvergenceError,
@@ -36,7 +37,8 @@ from hurstkit.harness import (
     read_series,
     write_fgn,
 )
-from hurstkit.results import METHODS, build_result, live_scales
+from hurstkit.numerics import fit_power_law
+from hurstkit.results import METHODS, build_result, fit_result, live_scales
 
 
 def rand_series(seed, n):
@@ -412,6 +414,62 @@ def test_live_scales_drops_zero_statistics():
         match=r"^the scale statistic is 0 at 2 of 3 scales; a slope needs 2",
     ):
         live_scales([1, 2, 3], [0.0, 1.0, 0.0])
+
+
+def _never_called(scales, hurst):
+    raise AssertionError("the model was called")
+
+
+def test_fit_result_reports_a_plain_fit_outside_the_unit_interval():
+    # stats = m^0.5 with H = 1 + slope: a plain H of 1.5 has no model to
+    # correct towards, and the model is never called
+    scales = [2, 4, 8, 16]
+    stats = np.array(scales, dtype=float) ** 0.5
+    plain = fit_result("am", scales, stats, 2, {}, offset=1.0)
+    res = fit_result("am", scales, stats, 2, {}, offset=1.0,
+                     model=_never_called)
+    assert res.hurst == plain.hurst == res.diagnostics["uncorrected_hurst"]
+    assert (res.diagnostics["residual_norm"]
+            == plain.diagnostics["residual_norm"])
+    assert res.diagnostics["out_of_range"] is True
+    # without a model no key is added
+    assert "uncorrected_hurst" not in plain.diagnostics
+
+
+@pytest.mark.parametrize("flag", [1, 2])
+def test_fit_result_solves_the_model_corrected_fit(flag):
+    # stats of slope -0.3 (a plain H of 0.85) against a model of m^{0.4 H}:
+    # H = 1 + (-0.3 - 0.4 H) / 2 solves to 0.85 / 1.2, up to the noise
+    rng = np.random.default_rng(3)
+    scales = np.arange(10.0, 200.0, 10.0)
+    stats = scales ** -0.3 * np.exp(0.01 * rng.standard_normal(scales.size))
+
+    def model(m, h):
+        return m ** (0.4 * h)
+
+    res = fit_result("av", scales, stats, flag, {}, offset=1.0, divisor=2,
+                     model=model)
+    fit, resid = fit_power_law(scales, stats / model(scales, res.hurst), flag)
+    assert res.hurst == pytest.approx(1.0 + fit.slope / 2, abs=1e-11)
+    assert res.hurst == pytest.approx(0.85 / 1.2, abs=0.01)
+    assert res.diagnostics["residual_norm"] == pytest.approx(resid, rel=1e-9)
+    plain = fit_power_law(scales, stats, flag)[0]
+    assert res.diagnostics["uncorrected_hurst"] == 1.0 + plain.slope / 2
+
+
+@pytest.mark.parametrize("factor, kind", [(0.0, "non-finite"),
+                                          (math.inf, "non-positive")])
+def test_fit_result_names_the_entry_a_model_spoils(factor, kind):
+    # the corrected statistics fail the refit's min/max test, and the
+    # fitter it falls back on names the entry, without a numpy warning
+    scales = np.array([10.0, 20.0, 40.0, 80.0])
+    stats = scales ** -0.3
+
+    def model(m, h):
+        return np.where(m == 40.0, factor, 1.0)
+
+    with pytest.raises(DomainError, match=rf"^{kind} y entry at index 3: "):
+        fit_result("am", scales, stats, 2, {}, offset=1.0, model=model)
 
 
 def test_non_finite_estimate_is_data_error():

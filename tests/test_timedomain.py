@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurstkit
-from hurstkit import _cpus, timedomain
+from hurstkit import _cpus, results, timedomain
 from hurstkit.aggregation import clip_hurst
 from hurstkit.errors import (
     ArgumentError,
@@ -224,7 +224,7 @@ def np_diff_central(x, w, r, flag):
     hurst = uncorrected
     if 0.0 < uncorrected < 1.0:
         hurst = fixed_point_solve(
-            corrected_hurst, clip_hurst(uncorrected), timedomain._CENTRAL_EPS
+            corrected_hurst, clip_hurst(uncorrected), results._MODEL_EPS
         )
         _, resid = corrected_fit(hurst)
     return hurst, uncorrected, resid

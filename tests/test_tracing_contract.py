@@ -97,6 +97,7 @@ NEVER_CALLED = {
     ("hurstkit.spectral", "dft"),
     ("hurstkit.spectral", "linear_regr_solver"),
     ("hurstkit.timedomain", "as_series"),
+    ("hurstkit.timedomain", "linear_regr_solver"),
     ("hurstkit.timedomain", "seq_partition"),
 }
 

@@ -20,7 +20,6 @@ partition.PreparedSeries.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,41 +102,23 @@ def fun_dm(m, n_total, hurst):
     return np.log(np.asarray(m, dtype=float)) + np.log(u) / denom
 
 
-@dataclass(frozen=True)
 class BlockSumContext:
     """Everything the LSSD/LSV objective needs: length, weights, s_m stats.
 
-    The fields after `stats` are the objectives' terms that do not depend
-    on H, computed once per context rather than once per solver step.
+    The attributes after `stats` are the objectives' terms that do not
+    depend on H, computed once per context rather than once per solver step.
     """
 
-    length: int
-    weight_p: float
-    penalty_q: float
-    scales: np.ndarray
-    stats: np.ndarray
-    weight: np.ndarray = field(init=False, repr=False, compare=False)
-    log_scales: np.ndarray = field(init=False, repr=False, compare=False)
-    log_stats: np.ndarray = field(init=False, repr=False, compare=False)
-    lssd_a11: float = field(init=False, repr=False, compare=False)
-    lssd_a12: float = field(init=False, repr=False, compare=False)
-    stats_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    lsv_b1: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        weight = self.scales**self.weight_p
-        log_scales = np.log(self.scales)
-        stats_sq = self.stats**2
-        for name, value in (
-            ("weight", weight),
-            ("log_scales", log_scales),
-            ("log_stats", np.log(self.stats)),
-            ("lssd_a11", np.sum(1.0 / weight)),
-            ("lssd_a12", np.sum(log_scales / weight)),
-            ("stats_sq", stats_sq),
-            ("lsv_b1", np.sum(stats_sq**2 / weight)),
-        ):
-            object.__setattr__(self, name, value)
+    def __init__(self, length, weight_p, penalty_q, scales, stats):
+        self.length, self.weight_p, self.penalty_q = length, weight_p, penalty_q
+        self.scales, self.stats = scales, stats
+        self.weight = scales**weight_p
+        self.log_scales = np.log(scales)
+        self.log_stats = np.log(stats)
+        self.lssd_a11 = np.sum(1.0 / self.weight)
+        self.lssd_a12 = np.sum(self.log_scales / self.weight)
+        self.stats_sq = stats**2
+        self.lsv_b1 = np.sum(self.stats_sq**2 / self.weight)
 
 
 def ctm_lssd(hurst, ctx):

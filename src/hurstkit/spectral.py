@@ -7,7 +7,6 @@ or 64 (awc, vvl) samples.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,18 +91,13 @@ def est_dwt(x, r=1, flag=2):
                       excluded_segments=len(dec.details) - len(scales))
 
 
-@dataclass(frozen=True)
 class LwObjectiveData:
-    """Frequencies and periodogram powers feeding the Whittle objective,
-    with mean(ln f), the objective's H-invariant term, computed once."""
+    """Attributes: frequencies and periodogram powers feeding the Whittle
+    objective, and mean(ln f), its H-invariant term, computed once."""
 
-    frequencies: np.ndarray
-    power: np.ndarray
-    mean_log_frequency: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_log_frequency",
-                           np.mean(np.log(self.frequencies)))
+    def __init__(self, frequencies, power):
+        self.frequencies, self.power = frequencies, power
+        self.mean_log_frequency = np.mean(np.log(frequencies))
 
 
 def obj_fun_lw(hurst, data):

@@ -356,7 +356,7 @@ def test_numpy_option_is_stored_as_python_value(method, option, value, plain):
 
 @pytest.mark.parametrize("method, arrays", [
     ("pm", 4), ("lw", 4), ("rs", 2.5), ("am", 3.5), ("av", 3.5), ("ghe", 3.5),
-    ("hm", 3.5),
+    ("hm", 3.5), ("lssd", 5), ("lsv", 5),
 ])
 def test_estimate_series_peak_memory(method, arrays):
     # pm and lw take a real-input FFT, which holds no complex copy of the
@@ -365,7 +365,9 @@ def test_estimate_series_peak_memory(method, arrays):
     # 3.1); am, av and ghe hold the demeaned series and the profile, whose
     # ramp is subtracted in place (out of place ghe peaked at 4.06); hm
     # forms each lag's absolute differences in one reused buffer (a
-    # difference and its absolute value per lag peaked at 4.0)
+    # difference and its absolute value per lag peaked at 4.0); lssd and lsv
+    # peak at 4.52 while their block-sum profile takes its running totals
+    # next to the demeaned and the standardized series
     n = 2**17
     x = gen_fgn(FgnSpec(0.7, n, 1))
     estimate_series(x, method)  # the FFT plans, once

@@ -398,3 +398,39 @@ def test_whittle_objective_is_bitwise_its_old_form():
     data = LwObjectiveData(freq, np.random.default_rng(5).exponential(size=freq.size))
     for h in HURSTS:
         assert obj_fun_lw(h, data) == _old_obj_fun_lw(h, data)
+
+
+def _bits(value):
+    arr = np.asarray(value)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def test_context_attributes_are_their_closed_forms_bitwise():
+    # every H-invariant term the solvers read, against its expression on the
+    # constructor's arguments, so that no solver step reads a changed value;
+    # the weights differ in which rounding of a term survives in the sums
+    scales = np.arange(1.0, 31.0)
+    stats = scales**0.7 * np.random.default_rng(6).uniform(0.5, 1.5, scales.size)
+    log_scales = np.log(scales)
+    stats_sq = stats**2
+    for p in (0.5, 2.0, 2.5):
+        ctx = BlockSumContext(900, p, 50.0, scales, stats)
+        assert (ctx.length, ctx.weight_p, ctx.penalty_q) == (900, p, 50.0)
+        assert ctx.scales is scales and ctx.stats is stats
+        weight = scales**p
+        for name, closed_form in (
+            ("weight", weight),
+            ("log_scales", log_scales),
+            ("log_stats", np.log(stats)),
+            ("lssd_a11", np.sum(1 / weight)),
+            ("lssd_a12", np.sum(log_scales / weight)),
+            ("stats_sq", stats_sq),
+            ("lsv_b1", np.sum(stats_sq**2 / weight)),
+        ):
+            assert _bits(getattr(ctx, name)) == _bits(closed_form), (p, name)
+
+    freq = np.arange(1, 451) / 901
+    power = np.random.default_rng(7).exponential(size=freq.size)
+    data = LwObjectiveData(freq, power)
+    assert data.frequencies is freq and data.power is power
+    assert _bits(data.mean_log_frequency) == _bits(np.mean(np.log(freq)))

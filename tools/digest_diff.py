@@ -12,8 +12,11 @@ every outcome that flipped between an estimate and an error; and, per
 method and option set, the largest relative change |H_after - H_before| /
 |H_before| over the records that are an estimate on both sides, with the
 case where it occurs.  A record found in one file only is listed as such.
+A reader that stops early, as `| grep -q '^0 of '` or `| head` do, ends the
+report with exit status 0.
 """
 
+import os
 import re
 import sys
 from collections import Counter
@@ -81,7 +84,13 @@ def main(argv):
     if len(argv) != 3:
         print("usage: digest_diff.py BEFORE AFTER", file=sys.stderr)
         return 2
-    print("\n".join(report(read_digest(argv[1]), read_digest(argv[2]))))
+    lines = report(read_digest(argv[1]), read_digest(argv[2]))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader has what it wanted; stdout goes to devnull so that the
+        # flush at exit does not meet the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -19,14 +19,16 @@ The grid: fGn at H = 0.3, 0.5, 0.7, 0.8 with three seeds at N = 3e4; the six
 i.i.d. families at N = 1e4; fGn at N = 1e5 and at N = 3e5, the one case long
 enough for dfa and rs to spread their window sizes over threads
 (timedomain._map_scales) and where am and av take their block means as
-differences of the longest running total; the edge cases step, ramp, random walk, constant,
-arange % 7, fGn x 1e200 and a length of 2503, which leaves the partition
-search one window size at the default window; and i.i.d. normal series at
-FLOOR_LENGTHS, one below and at each method's minimum length (ghe 21, tta 41,
-awc/vvl 64, hm 65, pm/lw/lssd/lsv 100).
+differences of the longest running total; fGn at N = 1000, where lssd and
+lsv fit isqrt(N) = 31 block sizes and am, av, dfa and rs raise
+InsufficientDataError below w^2 samples; the edge cases step, ramp, random
+walk, constant, arange % 7, fGn x 1e200 and a length of 2503, which leaves
+the partition search one window size at the default window; and i.i.d.
+normal series at FLOOR_LENGTHS, one below and at each method's minimum
+length (ghe 21, tta 41, awc/vvl 64, hm 65, pm/lw/lssd/lsv 100).
 Every case runs through all 13 methods under each option set of OPTIONS,
 one task per case and method on a process pool with a worker per usable CPU.
-On a 2-vCPU VM the pool of two took 16 s against 29 s serially (one CPU);
+On a 2-vCPU VM the pool of two took 15-16 s against 27 s serially (one CPU);
 the slowest task is dfa on the N = 3e5 case, about 5 s with norm=1, where it
 visits 48 of the partition's 90 window sizes.
 """
@@ -61,6 +63,7 @@ def cases():
         yield f"iid-{name}-n10000", gen_iid(name, 10000, 7)
     yield "fgn-h0.7-s4-n100000", gen_fgn(FgnSpec(0.7, 100000, 4))
     yield "fgn-h0.7-s5-n300000", gen_fgn(FgnSpec(0.7, 300000, 5))
+    yield "fgn-h0.7-s6-n1000", gen_fgn(FgnSpec(0.7, 1000, 6))
     yield "step", np.r_[np.zeros(5000), np.ones(5000)]
     yield "ramp", np.arange(10000, dtype=float)
     yield "walk", np.cumsum(gen_iid("normal", 10000, 5))

@@ -31,9 +31,10 @@ of the profile; the window sizes of dfa and rs are independent passes over
 the prefix, so _map_scales spreads them over up to four threads once the
 prefix is long enough to repay it; each scale is computed as on one thread.
 am and av fit every window size of the partition, as the paper does; dfa
-and rs fit at most _MAX_FIT_SIZES of them (_fit_sizes), all of them up to
-that count and otherwise the divisors nearest a log-even grid, so a long
-series pays 48 passes over its prefix instead of 176 at N = 1e6.
+and rs fit at most _MAX_FIT_SIZES of them and at most _SIZES_PER_DECADE per
+decade (_fit_sizes), all of them within both bounds and otherwise the
+divisors nearest a log-even grid, so a long series pays 48 passes over its
+prefix instead of 176 at N = 1e6, and N = 3e4 pays 20 instead of 30.
 """
 
 import math
@@ -63,10 +64,14 @@ DEFAULT_WINDOW = 50
 _THREADED_MIN_SAMPLES = 200_000
 # Each worker holds about three n_opt-float temporaries; this bounds memory.
 _MAX_WORKERS = 4
-# dfa and rs fit at most this many window sizes (_fit_sizes).  Beyond it a
-# pass per size buys little accuracy: tools/scale_ablation.py keeps the sd
-# within 5 % of every divisor's at N <= 1e6, where 32 sizes lost up to 10 %
+# dfa and rs fit at most this many window sizes (_fit_sizes), and at most
+# _SIZES_PER_DECADE per decade of window size.  Beyond either bound a pass
+# per size buys little accuracy: tools/scale_ablation.py keeps the sd within
+# 5 % of every divisor's at N <= 1e6, where 32 sizes lost up to 10 %; 19 per
+# decade is the least density that leaves N = 1e6 its 48 sizes (18 gives 47,
+# which lost 6 % at H = 0.9)
 _MAX_FIT_SIZES = 48
+_SIZES_PER_DECADE = 19
 
 
 def _map_scales(stat, factors, n_opt):
@@ -112,17 +117,22 @@ def _partitioned(x, w):
 def _fit_sizes(factors):
     """The window sizes dfa and rs visit, out of the partition's `factors`.
 
-    Up to _MAX_FIT_SIZES sizes, all of them, as the same list; beyond, the
-    divisor nearest in log to each point of a log-even grid of
-    _MAX_FIT_SIZES points from the smallest size to the largest, each kept
-    once, so both ends stay and the list stays ascending.
+    The grid has min(_MAX_FIT_SIZES, ceil(_SIZES_PER_DECADE * D) + 1) points
+    for factors spanning D decades.  Up to that many sizes, all of them, as
+    the same list; beyond, the divisor nearest in log to each point of a
+    log-even grid of that many points from the smallest size to the largest,
+    each kept once, so both ends stay and the list stays ascending.
     """
-    if len(factors) <= _MAX_FIT_SIZES:
+    decades = math.log10(factors[-1] / factors[0])
+    count = min(_MAX_FIT_SIZES, math.ceil(_SIZES_PER_DECADE * decades) + 1)
+    if len(factors) <= count:
         return factors
     logs = np.log(factors)
-    grid = np.linspace(logs[0], logs[-1], _MAX_FIT_SIZES)
-    nearest = np.abs(logs - grid[:, None]).argmin(axis=1)
-    return [factors[i] for i in np.unique(nearest)]
+    grid = np.linspace(logs[0], logs[-1], count)
+    nearest = np.abs(logs - grid[:, None]).argmin(axis=1).tolist()
+    # ascending, as the grid is: dict.fromkeys keeps each index once, where
+    # np.unique would import numpy.ma on its first call in a process
+    return [factors[i] for i in dict.fromkeys(nearest)]
 
 
 def _profile(x, arr):
@@ -372,9 +382,10 @@ def est_tta(x, flag=2):
     lags = np.arange(3, 13)
     stats = np.empty(lags.size)
     for j, tau in enumerate(lags):
-        count = (n - 1) // (2 * tau)
-        start = 2 * tau * np.arange(count)
-        heights = np.abs(y[start + 2 * tau] - 2.0 * y[start + tau] + y[start])
+        step = 2 * tau
+        end = step * ((n - 1) // step)
+        heights = np.abs(y[step : end + step : step]
+                         - 2.0 * y[tau : end + tau : step] + y[:end:step])
         stats[j] = 0.5 * tau * heights.sum()
 
     return fit_result("tta", lags, stats, flag, {"norm": flag})

@@ -79,12 +79,6 @@ def qmf_highpass(lowpass):
     return g
 
 
-def _analysis_step(a, filt):
-    # circular correlation, stride 2: out[i] = sum_k filt[k] * a[(2i+k) % n]
-    ext = np.concatenate([a, np.resize(a, filt.size - 1)])
-    return np.correlate(ext, filt, mode="valid")[::2]
-
-
 @dataclass
 class WaveletDecomposition:
     """Multi-level periodized analysis: details[0] is the finest scale."""
@@ -111,7 +105,10 @@ def wavedec(x, lowpass):
     for _ in range(int(np.log2(a.size))):
         if a.size % 2:
             a = np.append(a, a[-1])
-        out.details.append(_analysis_step(a, g))
-        a = _analysis_step(a, h)
+        # circular correlation, stride 2: out[i] = sum_k f[k] * a[(2i+k) % n]
+        # for f = g, h, on one periodic extension that serves both filters
+        ext = np.concatenate([a, np.resize(a, h.size - 1)])
+        out.details.append(np.correlate(ext, g, mode="valid")[::2])
+        a = np.correlate(ext, h, mode="valid")[::2]
     out.approx = a
     return out

@@ -516,7 +516,7 @@ def test_rs_in_place_profile_is_bitwise_two_buffer_form(monkeypatch):
     monkeypatch.setattr(timedomain, "_map_scales", recording_map)
     est_rs(x, 50)
     want = []
-    for m in factors:
+    for m in _fit_sizes(factors):
         segments = arr[:n_opt].reshape(n_opt // m, m)
         bias = segments - segments.mean(axis=1, keepdims=True)
         profile = np.cumsum(bias, axis=1)
@@ -596,20 +596,39 @@ def test_scale_stats_are_bitwise_the_mask_formulas(monkeypatch, estimate,
 # window sizes dfa and rs visit
 
 
-@pytest.mark.parametrize("n, w", [(10000, 50), (30000, 50), (30000, 20)])
-def test_fit_sizes_returns_a_short_partition_unchanged(n, w):
+def count_capped_fit_sizes(factors):
+    """_fit_sizes as written before its density bound: all of up to 48
+    sizes, otherwise the divisors nearest a log-even grid of 48 points."""
+    if len(factors) <= 48:
+        return factors
+    logs = np.log(factors)
+    grid = np.linspace(logs[0], logs[-1], 48)
+    nearest = np.abs(logs - grid[:, None]).argmin(axis=1)
+    return [factors[i] for i in np.unique(nearest)]
+
+
+@pytest.mark.parametrize("n, w", [(1000000, 50), (30000, 10), (5000, 50)])
+def test_fit_sizes_within_both_bounds_are_the_count_capped_list(n, w):
+    # 176 sizes over 2.53 decades at N = 1e6 and 58 over 2.47 at w = 10 ask
+    # for 50 and 48 grid points at 19 per decade: the cap of 48 binds, and
+    # the 6 sizes over 0.30 decades at N = 5000 are fitted whole
     _, factors = search_opt_seq_len(n, w)
     assert timedomain._MAX_FIT_SIZES == 48
-    assert len(factors) <= 48
-    assert _fit_sizes(factors) is factors
+    assert timedomain._SIZES_PER_DECADE == 19
+    assert _fit_sizes(factors) == count_capped_fit_sizes(factors)
+    if len(factors) <= 48:
+        assert _fit_sizes(factors) is factors
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(st.integers(2, 10**7), min_size=49, max_size=400,
+@given(st.lists(st.integers(2, 10**7), min_size=2, max_size=400,
                 unique=True).map(sorted))
 def test_fit_sizes_thins_a_long_partition(factors):
     sizes = _fit_sizes(factors)
-    assert 2 <= len(sizes) <= 48
+    decades = math.log10(factors[-1] / factors[0])
+    bound = min(48, math.ceil(19 * decades) + 1)
+    assert 2 <= len(sizes) <= bound
+    assert (sizes is factors) is (len(factors) <= bound)
     assert sizes[0] == factors[0] and sizes[-1] == factors[-1]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
     assert set(sizes) <= set(factors)
@@ -623,13 +642,23 @@ def test_fit_sizes_keeps_each_nearest_divisor_once():
     assert len(sizes) < 48
 
 
-def test_dfa_and_rs_fit_at_most_48_sizes_at_1e5():
-    # 54 window sizes: dfa and rs visit 48 of them, am and av every one
-    x = PreparedSeries(gen_fgn(FgnSpec(0.7, 100000, 4)))
+def test_thinning_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, about 1.3 MiB and a few
+    # ms in every process; a short path is thinned too, so none may pay it
+    run_in_fresh_process(
+        "import sys; from hurstkit.timedomain import _fit_sizes; "
+        "assert len(_fit_sizes(list(range(10, 100)))) < 90; "
+        "assert 'numpy.ma' not in sys.modules, 'imported'")
+
+
+def test_dfa_and_rs_fit_20_sizes_at_3e4():
+    # 30 window sizes over 1.07 decades: 22 grid points at 19 per decade,
+    # nearest to 20 distinct sizes for dfa and rs; am and av fit every one
+    x = PreparedSeries(gen_fgn(FgnSpec(0.7, 30000, 4)))
     for estimate in (est_dfa, est_rs):
-        assert estimate(x).diagnostics["n_points"] == 48
+        assert estimate(x).diagnostics["n_points"] == 20
     for r in (1, 2):
-        assert est_central(x, r=r).diagnostics["n_points"] == 54
+        assert est_central(x, r=r).diagnostics["n_points"] == 30
 
 
 def test_committed_ablation_meets_its_rule():
@@ -641,9 +670,10 @@ def test_committed_ablation_meets_its_rule():
                      path.read_text(encoding="utf-8").splitlines()]
     cells = [dict(zip(header, row)) for row in rows]
     assert {(c["n"], c["w"]) for c in cells} == {
-        ("100000", "50"), ("300000", "50"), ("1000000", "50"), ("30000", "10"),
+        ("10000", "50"), ("30000", "50"), ("100000", "50"), ("300000", "50"),
+        ("1000000", "50"), ("30000", "10"),
         ("1000", "-"), ("30000", "-"), ("100000", "-"), ("1000000", "-")}
-    assert len(cells) == 8 * 4 * 2
+    assert len(cells) == 10 * 4 * 2
     for cell in cells:
         assert float(cell["sd_ratio"]) <= 1.05, cell
         assert abs(float(cell["difference"])) <= 0.001, cell
@@ -652,7 +682,7 @@ def test_committed_ablation_meets_its_rule():
         n, every, capped = (int(cell[key]) for key in
                             ("n", "sizes_every", "sizes_capped"))
         if cell["method"] in ("dfa", "rs"):
-            assert capped <= 48 < every
+            assert capped <= 48 and capped < every
         else:
             assert (every, capped) == (n // 10, math.isqrt(n))
 
@@ -739,6 +769,35 @@ def test_tta_matches_independent_oracle():
         assert est_tta(x).hurst == pytest.approx(want, abs=1e-9)
 
 
+def index_array_tta_stats(x):
+    """The ten triangle-area sums of est_tta as written before it read the
+    profile by strided slices: an index array and three gathers per lag."""
+    y = cumulative_bias(demeaned(x, 41))
+    n = y.size
+    stats = []
+    for tau in range(3, 13):
+        count = (n - 1) // (2 * tau)
+        start = 2 * tau * np.arange(count)
+        heights = np.abs(y[start + 2 * tau] - 2.0 * y[start + tau] + y[start])
+        stats.append(0.5 * tau * heights.sum())
+    return stats
+
+
+@pytest.mark.parametrize("n", [41, 1000, 30000, 30001])
+def test_tta_stats_are_bitwise_the_index_array_form(monkeypatch, n):
+    x = gen_fgn(FgnSpec(0.7, n, 4))
+    got = []
+    fit = timedomain.fit_result
+
+    def recording_fit(method, scales, stats, *args, **kwargs):
+        got.extend(stats)
+        return fit(method, scales, stats, *args, **kwargs)
+
+    monkeypatch.setattr(timedomain, "fit_result", recording_fit)
+    est_tta(x)
+    assert got == index_array_tta_stats(x)
+
+
 def test_tta_validation():
     with pytest.raises(InsufficientDataError):
         est_tta(rand_series(0, 40))
@@ -794,14 +853,19 @@ def test_threaded_scale_map_matches_serial(monkeypatch, runner, mapped):
     assert bool(workers) is mapped
 
 
-def test_import_leaves_thread_pool_unloaded():
-    # concurrent.futures imports logging: only a threaded scale map pays
-    code = ("import sys, hurstkit, hurstkit.cli; "
-            "assert 'concurrent.futures' not in sys.modules, 'imported'")
+def run_in_fresh_process(code):
+    """Run `code` in a new interpreter that imports this hurstkit."""
     src = str(Path(hurstkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": path})
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # concurrent.futures imports logging: only a threaded scale map pays
+    run_in_fresh_process(
+        "import sys, hurstkit, hurstkit.cli; "
+        "assert 'concurrent.futures' not in sys.modules, 'imported'")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The DFT is verified against a direct O(N^2) evaluation of the defining sum;
 the wavelet cascade against hand-computed Haar values, energy conservation,
-and the defining identities of the 48-tap filter.
+the defining identities of the 48-tap filter, and the cascade it replaced,
+kept here as an oracle.
 """
 
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurstkit.generators import FgnSpec, gen_fgn
 from hurstkit.transforms import (
     DB24_LOWPASS,
     HAAR_LOWPASS,
@@ -29,6 +31,26 @@ def dft_direct(x):
     n = x.size
     k = np.arange(n)
     return np.array([np.sum(x * np.exp(-2j * math.pi * k * j / n)) for j in k])
+
+
+def two_extension_wavedec(x, lowpass):
+    """(details, approx) of wavedec as written before it shared one periodic
+    extension between its two filters: each filter extended the stage on
+    its own."""
+
+    def analysis_step(a, filt):
+        ext = np.concatenate([a, np.resize(a, filt.size - 1)])
+        return np.correlate(ext, filt, mode="valid")[::2]
+
+    h = np.asarray(lowpass, dtype=float)
+    g = qmf_highpass(h)
+    a, details = x, []
+    for _ in range(int(np.log2(a.size))):
+        if a.size % 2:
+            a = np.append(a, a[-1])
+        details.append(analysis_step(a, g))
+        a = analysis_step(a, h)
+    return details, a
 
 
 def decomposition_energy(dec):
@@ -153,6 +175,21 @@ def test_wavedec_level_lengths_halve():
     dec = wavedec(np.arange(96.0), HAAR_LOWPASS)
     assert [d.size for d in dec.details] == [48, 24, 12, 6, 3, 2]
     assert dec.approx.size == 2
+
+
+@pytest.mark.parametrize("filt", [HAAR_LOWPASS, DB24_LOWPASS],
+                         ids=["haar", "db24"])
+@pytest.mark.parametrize("n", [30000, 30001, 40])
+def test_wavedec_is_bitwise_the_two_extension_form(filt, n):
+    # 30000 has odd stages, and 40 stages shorter than the 48-tap filter,
+    # whose extension wraps around more than once
+    x = gen_fgn(FgnSpec(0.7, n, 4))
+    dec = wavedec(x, filt)
+    details, approx = two_extension_wavedec(x, filt)
+    assert len(dec.details) == len(details)
+    for got, want in zip(dec.details, details):
+        assert np.array_equal(got, want)
+    assert np.array_equal(dec.approx, approx)
 
 
 @settings(deadline=None, max_examples=40)

@@ -30,7 +30,7 @@ Every case runs through all 13 methods under each option set of OPTIONS,
 one task per case and method on a process pool with a worker per usable CPU.
 On a 2-vCPU VM the pool of two took 15-16 s against 27 s serially (one CPU);
 the slowest task is dfa on the N = 3e5 case, about 5 s with norm=1, where it
-visits 48 of the partition's 90 window sizes.
+visits 41 of the partition's 90 window sizes.
 """
 
 import multiprocessing

@@ -2,38 +2,42 @@
 """Every window or block size against the capped set, on the same paths.
 
 Two rules leave out sizes the paper fits.  At most
-timedomain._MAX_FIT_SIZES window sizes enter a dfa or rs fit
-(timedomain._fit_sizes); a longer partition visits the divisors nearest a
-log-even grid.  lssd and lsv fit the block sizes m = 1..min(N//10, isqrt(N))
-(aggregation._max_block_size), not every m to N//10.  This script measures
-what each rule costs in accuracy.  Each fGn path is estimated twice per
-method, each time on a fresh partition.PreparedSeries: once with the rule
-lifted, so every divisor of n_opt or every block size to N//10 is fitted as
-the paper prescribes, and once as the package runs.  One TSV row per N, w,
-H and method gives, for both arms, the estimates that failed with a
-HurstkitError and the bias +- SE, sd and rmse of the others, the sd ratio
+timedomain._MAX_FIT_SIZES window sizes, and at most
+timedomain._SIZES_PER_DECADE per decade of window size, enter a dfa or rs
+fit (timedomain._fit_sizes); a partition past either bound visits the
+divisors nearest a log-even grid.  lssd and lsv fit the block sizes
+m = 1..min(N//10, isqrt(N)) (aggregation._max_block_size), not every m to
+N//10.  This script measures what each rule costs in accuracy.  Each fGn
+path is estimated twice per method, each time on a fresh
+partition.PreparedSeries: once with the rule lifted (both window-size
+bounds at once), so every divisor of n_opt or every block size to N//10 is
+fitted as the paper prescribes, and once as the package runs.  One TSV row
+per N, w, H and method gives, for both arms, the estimates that failed with
+a HurstkitError and the bias +- SE, sd and rmse of the others, the sd ratio
 capped / every, and the paired difference capped - every +- SE over the
 paths both arms estimate.  lssd and lsv have no window: their w is "-".
 
 The rule, checked in the last column of every row: sd(capped) <= 1.05
 sd(every), |difference| <= 0.001, and no more failures than the every-size
 arm.  Its first two parts were declared before the window-size cap was
-adopted, all three before the block-size cap.  A cap of 32 window sizes
-failed its sd part in 6 of the 8 rows at N = 1e6 (up to 1.104); the cap of
-48 holds the rule in every row, and so does the block-size cap.  The number
-of rows that fail goes to stderr.
+adopted, all three before the block-size cap and the window-size density.
+A cap of 32 window sizes failed its sd part in 6 of the 8 rows at N = 1e6
+(up to 1.104); the cap of 48 with 19 sizes per decade holds the rule in
+every row, and so does the block-size cap.  The number of rows that fail
+goes to stderr.
 
-The grid: dfa and rs at N = 1e5 and 3e5 with w = 50 (seeds 5000-5099), at
-N = 1e6 with w = 50 (seeds 5000-5039) and at N = 3e4 with w = 10 (seeds
-5000-5099, 58 window sizes); lssd and lsv at N = 1e3 and 3e4 (seeds
-5000-5399) and at N = 1e5 and 1e6 (seeds 5000-5099); H = 0.3, 0.5, 0.7 and
-0.9, with 0.85 in place of 0.9 at N = 1e3, where H = 0.9 has no circulant
-embedding.  The output depends on nothing but the grid, so the committed
-table is reproduced byte for byte.  Run from the repository root:
+The grid: dfa and rs at N = 1e4 and 3e4 with w = 50 (seeds 5000-5199, where
+the density binds: 14 and 30 window sizes), at N = 1e5 and 3e5 with w = 50
+(seeds 5000-5099), at N = 1e6 with w = 50 (seeds 5000-5039) and at N = 3e4
+with w = 10 (seeds 5000-5099, 58 window sizes); lssd and lsv at N = 1e3 and
+3e4 (seeds 5000-5399) and at N = 1e5 and 1e6 (seeds 5000-5099); H = 0.3,
+0.5, 0.7 and 0.9, with 0.85 in place of 0.9 at N = 1e3, where H = 0.9 has
+no circulant embedding.  The output depends on nothing but the grid, so the
+committed table is reproduced byte for byte.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/scale_ablation.py > tools/scale_ablation.tsv
 
-With the whole grid it takes about 17 minutes on a 2-vCPU Xeon VM.
+With the whole grid it takes 14-15 minutes on a 2-vCPU Xeon VM.
 `--seeds K` keeps the first K seeds of each cell and `--lengths N ...` the
 cells of those lengths, for a quick run.
 """
@@ -42,6 +46,7 @@ import argparse
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 
@@ -52,7 +57,9 @@ from hurstkit.partition import PreparedSeries, search_opt_seq_len
 
 H_VALUES = (0.3, 0.5, 0.7, 0.9)
 # (methods, N, w, number of seeds from FIRST_SEED, H values)
-CELLS = ((("dfa", "rs"), 100_000, 50, 100, H_VALUES),
+CELLS = ((("dfa", "rs"), 10_000, 50, 200, H_VALUES),
+         (("dfa", "rs"), 30_000, 50, 200, H_VALUES),
+         (("dfa", "rs"), 100_000, 50, 100, H_VALUES),
          (("dfa", "rs"), 300_000, 50, 100, H_VALUES),
          (("dfa", "rs"), 1_000_000, 50, 40, H_VALUES),
          (("dfa", "rs"), 30_000, 10, 100, H_VALUES),
@@ -73,10 +80,11 @@ COLUMNS = ("n", "w", "hurst", "method", "sizes_every", "sizes_capped",
 
 
 def lift(method):
-    """(module, name, value) that fits every size the paper fits."""
+    """(module, {name: value}) that fits every size the paper fits."""
     if method in ("dfa", "rs"):
-        return timedomain, "_MAX_FIT_SIZES", sys.maxsize
-    return aggregation, "_max_block_size", lambda n: n // 10
+        return timedomain, {"_MAX_FIT_SIZES": sys.maxsize,
+                            "_SIZES_PER_DECADE": sys.maxsize}
+    return aggregation, {"_max_block_size": lambda n: n // 10}
 
 
 def sizes(method, n, w):
@@ -100,14 +108,10 @@ def path_estimates(methods, n, w, hurst, seed):
     path = gen_fgn(FgnSpec(hurst, n, seed))
     out = {}
     for method in methods:
-        module, name, every = lift(method)
-        capped = getattr(module, name)
+        module, every = lift(method)
         out[method, "capped"] = estimate(PreparedSeries(path), method, w)
-        setattr(module, name, every)
-        try:
+        with mock.patch.multiple(module, **every):
             out[method, "every"] = estimate(PreparedSeries(path), method, w)
-        finally:
-            setattr(module, name, capped)
     return out
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     ArgumentError,
     DegenerateSequenceError,
+    DomainError,
     SingularityError,
     SingularSystemError,
 )
@@ -112,7 +113,11 @@ class BlockSumContext:
     def __init__(self, length, weight_p, penalty_q, scales, stats):
         self.length, self.weight_p, self.penalty_q = length, weight_p, penalty_q
         self.scales, self.stats = scales, stats
-        self.weight = scales**weight_p
+        with np.errstate(over="ignore"):
+            self.weight = scales**weight_p
+        if not self.weight[-1] < math.inf:  # the scales ascend
+            raise DomainError(f"the weight m^weight_p overflows at m = "
+                              f"{scales[-1]:g}, weight_p = {weight_p!r}")
         self.log_scales = np.log(scales)
         self.log_stats = np.log(stats)
         self.lssd_a11 = np.sum(1.0 / self.weight)
@@ -127,7 +132,11 @@ def ctm_lssd(hurst, ctx):
     Least-squares elimination of ln sigma from the weighted fitting error
     yields Phi as a ratio of accumulator combinations; its fixed point is
     the estimate.  Exactly invariant under rescaling all stats by c > 0.
+    An iterate H < 0 with a non-integer penalty_q is a DomainError.
     """
+    if hurst < 0.0 and not float(ctx.penalty_q).is_integer():
+        raise DomainError(f"H^penalty_q is not real at the iterate H = "
+                          f"{hurst!r}, penalty_q = {ctx.penalty_q!r}")
     m, weight, log_m = ctx.scales, ctx.weight, ctx.log_scales
     d = fun_dm(m, ctx.length, hurst)
     c = fun_cm_lssd(m, ctx.length, hurst)

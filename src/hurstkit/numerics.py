@@ -2,13 +2,13 @@
 
 The whole toolkit reduces estimation to one of three primitives:
 
-* fit ln(y) = alpha + beta * ln(x) in the l2 or l1 sense (fit_power_law),
+* fit one line in the l2 or l1 sense (fit_line), on logs in fit_power_law,
 * run a scalar fixed-point iteration, or
 * minimize a scalar function on an interval (Brent's method).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -18,11 +18,7 @@ _FIXED_POINT_BUDGET = 10_000
 _BRENT_BUDGET = 500
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
-
-@dataclass(frozen=True)
-class RegressionFit:
-    intercept: float
-    slope: float
+RegressionFit = namedtuple("RegressionFit", "intercept slope")
 
 
 def lad_lines(t, z):
@@ -78,18 +74,24 @@ def lad_lines(t, z):
     return a, b
 
 
-def linear_regr_solver(A, b, flag):
-    """Fit b ~ A @ (intercept, slope), A = (1, t), in the flag-selected norm;
-    A and b are float arrays, t takes two distinct values at least.
-
-    flag=2 : ordinary least squares (Moore-Penrose via SVD).
-    flag=1 : the exact least-absolute-deviations line of lad_lines.
+def fit_line(t, b, flag):
+    """The line b ~ intercept + slope * t of float arrays t and b, t with two
+    distinct values at least.  flag=2: least squares in closed form about
+    the means t', b' of both, slope = sum (t - t')(b - b') / sum (t - t')^2,
+    intercept = b' - slope t', so a flat b has slope 0 up to its rounding.
+    flag=1: the exact least-absolute-deviations line of lad_lines.
     """
     if flag == 2:
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        coef = np.ravel(lad_lines(A[:, 1], b[None, :]))
-    return RegressionFit(float(coef[0]), float(coef[1]))
+        t_mean, b_mean = np.add.reduce(t) / t.size, np.add.reduce(b) / b.size
+        tc = t - t_mean
+        slope = float((tc @ (b - b_mean)) / (tc @ tc))
+        return RegressionFit(float(b_mean - slope * t_mean), slope)
+    return RegressionFit(*np.ravel(lad_lines(t, b[None, :])).tolist())
+
+
+def linear_regr_solver(A, b, flag):
+    """fit_line of b on t = A[:, 1], A = (1, t): the design-matrix form."""
+    return fit_line(A[:, 1], b, flag)
 
 
 def fit_power_law(x, y, flag):
@@ -98,18 +100,17 @@ def fit_power_law(x, y, flag):
     `x` and `y` are float arrays of two or more pairs, not all x equal, as
     live_scales returns them; an entry that is not finite and positive is a
     DomainError naming its (1-based) index, looked for only when the min/max
-    test fails.  Returns (fit, l2 norm of the log-residuals); the slope
-    fitter every log-log estimator uses.
+    test fails.  Then fit_line on the logs; returns (fit, l2 norm of the
+    log-residuals).  The slope fitter every log-log estimator uses.
     """
     for name, v in (("x", x), ("y", y)):
-        if not (np.minimum.reduce(v) > 0.0
-                and np.maximum.reduce(v) < math.inf):
+        if not (np.minimum.reduce(v) > 0.0 and np.maximum.reduce(v) < math.inf):
             i = int(np.flatnonzero(~(np.isfinite(v) & (v > 0)))[0])
             value = float(v[i])
             kind = "non-positive" if math.isfinite(value) else "non-finite"
             raise DomainError(f"{kind} {name} entry at index {i + 1}: {value}")
     t, b = np.log(x), np.log(y)
-    fit = linear_regr_solver(np.column_stack([np.ones_like(t), t]), b, flag)
+    fit = fit_line(t, b, flag)
     resid = b - (fit.intercept + fit.slope * t)
     return fit, float(np.sqrt(np.sum(resid * resid)))
 

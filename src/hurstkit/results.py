@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateSequenceError
-from .numerics import fit_power_law, fixed_point_solve, linear_regr_solver
+from .numerics import fit_power_law, fixed_point_solve
 
 METHODS = (
     "am", "av", "ghe", "hm", "dfa", "rs", "tta",
@@ -93,15 +93,12 @@ def fit_result(method, scales, stats, flag, config, *, offset=0.0, divisor=1.0,
     the standard diagnostics, and `diagnostics` passes on to build_result.
 
     With `model(scales, H)`, the per-scale factors a model puts on the
-    statistics, H solves H = offset + slope(stats / model) / divisor: the
-    plain fit (diagnostic `uncorrected_hurst`) starts a fixed point whose
-    iterates are clipped just inside (0, 1) and which stops once H moves by
-    less than _MODEL_EPS; the residual norm is its last fit's.  A plain fit
-    outside (0, 1) -- a trend, a random walk -- has no model to correct
-    towards and is reported as it is.  A refit passes the design [1, ln m],
-    built once, to linear_regr_solver; corrected statistics that are not all
-    finite and positive go to fit_power_law, whose DomainError names the
-    entry.
+    statistics, H solves H = offset + slope(stats / model) / divisor by a
+    fixed point of one fit_power_law per iterate: it starts from the plain
+    fit (diagnostic `uncorrected_hurst`), clips its iterates just inside
+    (0, 1), stops once H moves by less than _MODEL_EPS and reports the
+    residual norm of its last fit.  A plain fit outside (0, 1) -- a trend, a
+    random walk -- has no model to correct towards and is reported as it is.
     """
     scales, stats, dropped = live_scales(scales, stats)
     fit, resid = fit_power_law(scales, stats, flag)
@@ -109,23 +106,14 @@ def fit_result(method, scales, stats, flag, config, *, offset=0.0, divisor=1.0,
     if model is not None:
         diagnostics["uncorrected_hurst"] = hurst
     if model is not None and 0.0 < hurst < 1.0:
-        t = np.log(scales)
-        design = np.column_stack([np.ones_like(t), t])
-
         def refit(h):
-            v = stats / model(scales, h)
-            if (np.minimum.reduce(v) > 0.0
-                    and np.maximum.reduce(v) < math.inf):
-                fit = linear_regr_solver(design, np.log(v), flag)
-            else:
-                fit, _ = fit_power_law(scales, v, flag)
+            fit, _ = fit_power_law(scales, stats / model(scales, h), flag)
             return clip_hurst(offset + fit.slope / divisor)
 
-        # dividing by 0 or overflowing ends in that DomainError, not a warning
+        # a corrected statistic of 0 or inf: a DomainError, not a warning
         with np.errstate(divide="ignore", over="ignore"):
             hurst = fixed_point_solve(refit, clip_hurst(hurst), _MODEL_EPS)
-            _, resid = fit_power_law(scales, stats / model(scales, hurst),
-                                     flag)
+            resid = fit_power_law(scales, stats / model(scales, hurst), flag)[1]
     return build_result(
         method,
         hurst,

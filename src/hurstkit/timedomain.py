@@ -219,14 +219,15 @@ def est_ghe(x, q=1.0, flag=2):
     """Generalized Hurst exponent from q-th moments of profile increments.
 
     mu_q(tau) = mean |Y_{i+tau} - Y_i|^q over the cumulative-bias profile Y,
-    for tau = 1..10; H = slope/q, q > 0.
+    for tau = 1..10; H = slope/q, q > 0; an overflowing mu_q is a DomainError.
     """
     y = _profile(x, demeaned(x, 21))
 
     lags = np.arange(1, 11)
-    stats = np.array(
-        [np.mean(np.abs(y[t:] - y[:-t]) ** q) for t in lags]
-    )
+    with np.errstate(over="ignore"):
+        stats = [np.mean(np.abs(y[t:] - y[:-t]) ** q) for t in lags]
+    if not max(stats) < math.inf:
+        raise DomainError(f"|dY|^q_order overflows at q_order = {q!r}")
 
     return fit_result("ghe", lags, stats, flag, {"q_order": q, "norm": flag},
                       divisor=q)

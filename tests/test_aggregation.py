@@ -1,6 +1,7 @@
 """Tests for the block-sum least-squares estimators (LSSD / LSV)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hurstkit.aggregation import (
 from hurstkit.errors import (
     ArgumentError,
     DegenerateSequenceError,
+    DomainError,
     InsufficientDataError,
     NonConvergenceError,
     SingularityError,
@@ -167,25 +169,81 @@ def test_fun_cm_lsv_examples():
 # LSSD mapping
 
 
+def accumulation_ctm_lssd(hurst, ctx):
+    """Phi(H) of ctm_lssd, accumulated scale by scale in plain floats."""
+    a11 = a12 = a21 = a22 = b1 = b2 = 0.0
+    for m, s in zip(ctx.scales.tolist(), ctx.stats.tolist()):
+        u = ctx.length / m
+        c = math.sqrt((u - u ** (2 * hurst - 1)) / (u - 0.5))
+        d = math.log(m) + math.log(u) / (1 - u ** (2 - 2 * hurst))
+        w = m**ctx.weight_p
+        a11 += 1.0 / w
+        a12 += math.log(m) / w
+        a21 += d / w
+        a22 += d * math.log(m) / w
+        b1 += (math.log(s) - math.log(c)) / w
+        b2 += d * (math.log(s) - math.log(c)) / w
+    return (a11 * (b2 - hurst**ctx.penalty_q) - a21 * b1) / (
+        a11 * a22 - a21 * a12
+    )
+
+
 def test_ctm_lssd_matches_accumulation_oracle():
     ctx = make_ctx()
     for hurst in (0.2, 0.5, 0.77):
-        a11 = a12 = a21 = a22 = b1 = b2 = 0.0
-        for m, s in zip(ctx.scales, ctx.stats):
-            u = ctx.length / m
-            c = math.sqrt((u - u ** (2 * hurst - 1)) / (u - 0.5))
-            d = math.log(m) + math.log(u) / (1 - u ** (2 - 2 * hurst))
-            w = m**ctx.weight_p
-            a11 += 1.0 / w
-            a12 += math.log(m) / w
-            a21 += d / w
-            a22 += d * math.log(m) / w
-            b1 += (math.log(s) - math.log(c)) / w
-            b2 += d * (math.log(s) - math.log(c)) / w
-        want = (a11 * (b2 - hurst**ctx.penalty_q) - a21 * b1) / (
-            a11 * a22 - a21 * a12
-        )
+        want = accumulation_ctm_lssd(hurst, ctx)
         assert ctm_lssd(hurst, ctx) == pytest.approx(want, abs=1e-12)
+
+
+def test_ctm_lssd_integer_penalty_is_real_below_zero():
+    # H^q of a negative H is real for an integer q, so the mapping is the
+    # oracle's there as well, default q = 50 included
+    for q in (1.0, 3.0, 50.0):
+        ctx = make_ctx(q=q)
+        for hurst in (-0.3, -0.02):
+            want = accumulation_ctm_lssd(hurst, ctx)
+            assert ctm_lssd(hurst, ctx) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lssd_integer_penalty_passes_through_negative_iterates(monkeypatch):
+    # q = 3 on anti-persistent noise steps through H < 0 on its way to a
+    # fixed point above 0, as it always did
+    seen = []
+
+    def traced(hurst, ctx):
+        seen.append(hurst)
+        return ctm_lssd(hurst, ctx)
+
+    monkeypatch.setattr(aggregation, "ctm_lssd", traced)
+    res = estimate_series(gen_fgn(FgnSpec(0.1, 3000, 1)), "lssd", penalty_q=3.0)
+    assert min(seen) < 0.0 < res.hurst < 1.0
+    assert "raw_value" not in res.diagnostics
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [0.5, 1e-300])
+def test_lssd_non_integer_penalty_below_zero_is_a_domain_error(q):
+    # H^q of an iterate below 0 is complex for a non-integer q; the mapping
+    # kept its real part with a ComplexWarning per step, so q = 0.5 spent
+    # the whole step budget and q = 1e-300 returned an unflagged 1e-6 from
+    # a "fixed point" at -0.2455
+    x = gen_fgn(FgnSpec(0.7, 3000, 1))
+    match = (r"^lssd: H\^penalty_q is not real at the iterate H = -\d\.\d+, "
+             rf"penalty_q = {re.escape(repr(q))}$")
+    with pytest.raises(DomainError, match=match):
+        estimate_series(x, "lssd", penalty_q=q)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method, p", [("lssd", 1e6), ("lsv", 1e6),
+                                       ("lssd", 200.0), ("lsv", 200.0)])
+def test_weight_that_overflows_names_weight_p(method, p):
+    # 54^200 is past the float range: N = 3000 fits block sizes up to 54
+    match = (rf"^{method}: the weight m\^weight_p overflows at m = 54, "
+             rf"weight_p = {re.escape(repr(p))}$")
+    with pytest.raises(DomainError, match=match):
+        estimate_series(gen_fgn(FgnSpec(0.7, 3000, 1)), method, weight_p=p)
 
 
 def test_ctm_lssd_scale_invariance_exact():

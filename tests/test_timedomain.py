@@ -285,6 +285,18 @@ def test_ghe_validation():
         est_ghe(np.full(100, 3.3))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, q", [(1.0, 400.0), (1e200, 2.0)])
+def test_ghe_moment_that_overflows_names_q_order(scale, q):
+    # |dY|^q past the float range used to warn and then fail in the fitter
+    # as "non-finite y entry", which named neither the option nor the stage
+    x = gen_fgn(FgnSpec(0.7, 30000, 42))
+    x = scale * x / x.std()
+    match = rf"^ghe: \|dY\|\^q_order overflows at q_order = {q!r}$"
+    with pytest.raises(DomainError, match=match):
+        hurstkit.estimate_series(x, "ghe", q_order=q)
+
+
 # ---------------------------------------------------------------------------
 # Higuchi
 

@@ -10,8 +10,11 @@ A record is one case, method and option set.  The report gives the number
 of records whose outcome changed and how many of them each case holds;
 every outcome that flipped between an estimate and an error; and, per
 method and option set, the largest relative change |H_after - H_before| /
-|H_before| over the records that are an estimate on both sides, with the
-case where it occurs.  A record found in one file only is listed as such.
+|H_before| and the largest absolute change |H_after - H_before| over the
+records that are an estimate on both sides, each with the case where it
+occurs.  The absolute column keeps a rounding move of an H near 0 from
+reading as a large one: 5e-15 on H = -0.0026 is 2e-12 relative.  A record
+found in one file only is listed as such.
 A reader that stops early, as `| grep -q '^0 of '` or `| head` do, ends the
 report with exit status 0.
 """
@@ -63,20 +66,23 @@ def report(before, after):
         lines.append(f"    before: {before[key]}")
         lines.append(f"    after:  {after[key]}")
 
-    worst = {}
+    worst = {}  # (method, options) -> [(relative, case), (absolute, case)]
     for key in keys:
         h_before, h_after = hurst_of(before[key]), hurst_of(after[key])
         if h_before is None or h_after is None:
             continue
         delta = abs(h_after - h_before)
         rel = delta / abs(h_before) if h_before else delta
-        group = key[1:]
-        if group not in worst or rel > worst[group][0]:
-            worst[group] = (rel, key[0])
-    lines.append("largest relative |dH| per method and option set:")
-    for (method, options), (rel, case) in worst.items():
-        where = f"  ({case})" if rel else ""
-        lines.append(f"  {method:<5} {options:<20} {rel:.2g}{where}")
+        largest = worst.setdefault(key[1:], [(0.0, None), (0.0, None)])
+        for i, change in enumerate((rel, delta)):
+            if change > largest[i][0]:
+                largest[i] = (change, key[0])
+    lines.append("largest |dH| per method and option set, "
+                 "relative and absolute:")
+    for (method, options), changes in worst.items():
+        rel, delta = (f"{change:.2g}" + (f" ({case})" if change else "")
+                      for change, case in changes)
+        lines.append(f"  {method:<5} {options:<20} {rel:<32} {delta}".rstrip())
     return lines
 
 

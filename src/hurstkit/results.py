@@ -94,11 +94,14 @@ def fit_result(method, scales, stats, flag, config, *, offset=0.0, divisor=1.0,
 
     With `model(scales, H)`, the per-scale factors a model puts on the
     statistics, H solves H = offset + slope(stats / model) / divisor by a
-    fixed point of one fit_power_law per iterate: it starts from the plain
-    fit (diagnostic `uncorrected_hurst`), clips its iterates just inside
-    (0, 1), stops once H moves by less than _MODEL_EPS and reports the
-    residual norm of its last fit.  A plain fit outside (0, 1) -- a trend, a
-    random walk -- has no model to correct towards and is reported as it is.
+    fixed point of one fit_power_law per refit, accelerated by Steffensen's
+    method.  From the plain fit (diagnostic `uncorrected_hurst`) each step
+    takes two refits and Aitken's extrapolation of the three iterates, or
+    the second refit where the extrapolation divides by 0 or is not finite.
+    It clips every iterate just inside (0, 1), stops once a refit or a step
+    moves H by less than _MODEL_EPS and reports the residual norm of its
+    last fit.  A plain fit outside (0, 1) -- a trend, a random walk -- has
+    no model to correct towards and is reported as it is.
     """
     scales, stats, dropped = live_scales(scales, stats)
     fit, resid = fit_power_law(scales, stats, flag)
@@ -110,9 +113,18 @@ def fit_result(method, scales, stats, flag, config, *, offset=0.0, divisor=1.0,
             fit, _ = fit_power_law(scales, stats / model(scales, h), flag)
             return clip_hurst(offset + fit.slope / divisor)
 
+        def steffensen(h):
+            h1 = refit(h)
+            if abs(h1 - h) < _MODEL_EPS:
+                return h1
+            h2 = refit(h1)
+            curve = h2 - 2.0 * h1 + h
+            aitken = h - (h1 - h) * (h1 - h) / curve if curve else math.inf
+            return clip_hurst(aitken) if math.isfinite(aitken) else h2
+
         # a corrected statistic of 0 or inf: a DomainError, not a warning
         with np.errstate(divide="ignore", over="ignore"):
-            hurst = fixed_point_solve(refit, clip_hurst(hurst), _MODEL_EPS)
+            hurst = fixed_point_solve(steffensen, clip_hurst(hurst), _MODEL_EPS)
             resid = fit_power_law(scales, stats / model(scales, hurst), flag)[1]
     return build_result(
         method,

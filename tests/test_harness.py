@@ -37,8 +37,11 @@ from hurstkit.harness import (
     read_series,
     write_fgn,
 )
-from hurstkit.numerics import fit_power_law
-from hurstkit.results import METHODS, build_result, fit_result, live_scales
+from hurstkit.numerics import fit_power_law, fixed_point_solve
+from hurstkit.results import (
+    METHODS, build_result, clip_hurst, fit_result, live_scales,
+)
+from hurstkit.timedomain import _grand_mean_factor
 
 
 def rand_series(seed, n):
@@ -356,7 +359,7 @@ def test_numpy_option_is_stored_as_python_value(method, option, value, plain):
 
 @pytest.mark.parametrize("method, arrays", [
     ("pm", 4), ("lw", 4), ("rs", 2.5), ("am", 3.5), ("av", 3.5), ("ghe", 3.5),
-    ("hm", 3.5), ("lssd", 5), ("lsv", 5),
+    ("hm", 3.5), ("lssd", 5), ("lsv", 5), ("awc", 4.25), ("vvl", 3),
 ])
 def test_estimate_series_peak_memory(method, arrays):
     # pm and lw take a real-input FFT, which holds no complex copy of the
@@ -367,7 +370,10 @@ def test_estimate_series_peak_memory(method, arrays):
     # forms each lag's absolute differences in one reused buffer (a
     # difference and its absolute value per lag peaked at 4.0); lssd and lsv
     # peak at 4.52 while their block-sum profile takes its running totals
-    # next to the demeaned and the standardized series
+    # next to the demeaned and the standardized series; awc and vvl peaked
+    # at 5.0 while np.correlate took every full-rate output and the finest
+    # detail kept a view of it, and now take each stride-2 output once
+    # (4.0 through the banded product, 2.75 by Haar's two-tap form)
     n = 2**17
     x = gen_fgn(FgnSpec(0.7, n, 1))
     estimate_series(x, method)  # the FFT plans, once
@@ -457,6 +463,52 @@ def test_fit_result_solves_the_model_corrected_fit(flag):
     assert res.diagnostics["residual_norm"] == pytest.approx(resid, rel=1e-9)
     plain = fit_power_law(scales, stats, flag)[0]
     assert res.diagnostics["uncorrected_hurst"] == 1.0 + plain.slope / 2
+
+
+@pytest.mark.parametrize("flag", [1, 2])
+@pytest.mark.parametrize("hurst", [0.7, 0.9])
+def test_fit_result_accelerated_hurst_is_a_fixed_point(monkeypatch, flag,
+                                                      hurst):
+    # the variances of k = n/m block means of fGn about their grand mean,
+    # with noise: av's statistics under av's model, on which the plain
+    # iteration converges slowest at high H
+    n = 30000
+    scales = np.array([10.0, 20.0, 40.0, 60.0, 100.0, 150.0, 200.0, 300.0,
+                       500.0, 600.0, 1000.0])
+    rng = np.random.default_rng(7)
+    stats = (scales ** (2 * hurst - 2)
+             * _grand_mean_factor(scales, n, hurst, 2)
+             * np.exp(0.05 * rng.standard_normal(scales.size)))
+
+    def model(m, h):
+        return _grand_mean_factor(m, n, h, 2)
+
+    def step(h):
+        fit, _ = fit_power_law(scales, stats / model(scales, h), flag)
+        return clip_hurst(1.0 + fit.slope / 2)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fit_power_law(*args)
+
+    monkeypatch.setattr(hurstkit.results, "fit_power_law", counted)
+    res = fit_result("av", scales, stats, flag, {}, offset=1.0, divisor=2,
+                     model=model)
+    # H = offset + slope(stats / model(H)) / divisor to the 1e-12 stop
+    assert abs(step(res.hurst) - res.hurst) < 1e-12
+    plain_steps = []
+
+    def plain_step(h):
+        plain_steps.append(h)
+        return step(h)
+
+    plain = fixed_point_solve(
+        plain_step, clip_hurst(res.diagnostics["uncorrected_hurst"]), 1e-12)
+    assert res.hurst == pytest.approx(plain, abs=1e-12)
+    # fits: the plain one, the refits and the last residual's
+    assert len(calls) < len(plain_steps) + 2
 
 
 @pytest.mark.parametrize("factor, kind", [(0.0, "non-finite"),

@@ -198,7 +198,8 @@ def test_central_near_unit_hurst_is_finite_and_warning_free():
 
 def np_diff_central(x, w, r, flag):
     """est_central as written before its ufunc rewrite, kept as an oracle:
-    block means by np.diff, np.var, and one fit_power_law per refit.
+    block means by np.diff, np.var, and one fit_power_law per refit, with
+    results.fit_result's Steffensen step written out.
     Returns (hurst, uncorrected_hurst, residual_norm)."""
     arr = demeaned(x)
     n_opt, factors = search_opt_seq_len(arr.size, w)
@@ -219,12 +220,21 @@ def np_diff_central(x, w, r, flag):
     def corrected_hurst(hurst):
         return clip_hurst(1.0 + corrected_fit(hurst)[0].slope / r)
 
+    def steffensen(h):
+        h1 = corrected_hurst(h)
+        if abs(h1 - h) < results._MODEL_EPS:
+            return h1
+        h2 = corrected_hurst(h1)
+        curve = h2 - 2.0 * h1 + h
+        aitken = h - (h1 - h) * (h1 - h) / curve if curve else math.inf
+        return clip_hurst(aitken) if math.isfinite(aitken) else h2
+
     fit, resid = fit_power_law(scales, stats, flag)
     uncorrected = 1.0 + fit.slope / r
     hurst = uncorrected
     if 0.0 < uncorrected < 1.0:
         hurst = fixed_point_solve(
-            corrected_hurst, clip_hurst(uncorrected), results._MODEL_EPS
+            steffensen, clip_hurst(uncorrected), results._MODEL_EPS
         )
         _, resid = corrected_fit(hurst)
     return hurst, uncorrected, resid

@@ -8,6 +8,7 @@ kept here as an oracle.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from hurstkit.transforms import (
 )
 
 SQ2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def dft_direct(x):
@@ -34,9 +36,10 @@ def dft_direct(x):
 
 
 def two_extension_wavedec(x, lowpass):
-    """(details, approx) of wavedec as written before it shared one periodic
-    extension between its two filters: each filter extended the stage on
-    its own."""
+    """(details, approx, stages) of wavedec as written before it shared one
+    periodic extension between its two filters: each filter extended the
+    stage on its own, and np.correlate took every full-rate output.
+    stages[j] is the stage level j reads, its last sample repeated if odd."""
 
     def analysis_step(a, filt):
         ext = np.concatenate([a, np.resize(a, filt.size - 1)])
@@ -44,13 +47,63 @@ def two_extension_wavedec(x, lowpass):
 
     h = np.asarray(lowpass, dtype=float)
     g = qmf_highpass(h)
-    a, details = x, []
+    a, details, stages = x, [], []
     for _ in range(int(np.log2(a.size))):
         if a.size % 2:
             a = np.append(a, a[-1])
+        stages.append(a)
         details.append(analysis_step(a, g))
         a = analysis_step(a, h)
-    return details, a
+    return details, a, stages
+
+
+def mp_wavedec(x, lowpass):
+    """(details, approx) of the cascade in 50-digit arithmetic on the float
+    taps and samples, rounded to float at the end: the reference both the
+    kernel and the oracle are measured against."""
+    with mpmath.workdps(50):
+        pairs = [[mpmath.mpf(float(v)) for v in f]
+                 for f in (qmf_highpass(lowpass), lowpass)]
+        a = [mpmath.mpf(float(v)) for v in x]
+        details = []
+        for _ in range(int(np.log2(len(a)))):
+            if len(a) % 2:
+                a.append(a[-1])
+            g, h = (
+                [mpmath.fsum(f[k] * a[(2 * i + k) % len(a)]
+                             for k in range(len(f)))
+                 for i in range(len(a) // 2)]
+                for f in pairs
+            )
+            details.append(np.array(g, dtype=float))
+            a = h
+        return details, np.array(a, dtype=float)
+
+
+def dot_rounding_bound(filt, stage):
+    """L * eps * sum|f_k| * max|a|: how far two float evaluations of one
+    output of L products may part.  Each lies within gamma_L * sum|f_k a_k|
+    of the exact sum (gamma_L = L * eps/2 to first order), in any order of
+    summation, with or without fused multiply-adds."""
+    f = np.asarray(filt, dtype=float)
+    return f.size * EPS * np.abs(f).sum() * np.max(np.abs(stage))
+
+
+def assert_within_cascade_rounding(got, want, stages, lowpass):
+    """Every level of two cascades (details, approx) apart by at most the
+    rounding bound on its stage, plus what the stage carries from the level
+    before: stages that differ by c differ after the filter by at most
+    sum|f_k| * c."""
+    spread = np.abs(np.asarray(lowpass)).sum()
+    carried = 0.0
+    assert len(got[0]) == len(want[0]) == len(stages)
+    for got_d, want_d, stage in zip(got[0], want[0], stages):
+        carried = spread * carried + dot_rounding_bound(
+            lowpass, np.abs(stage) + carried)
+        assert got_d.shape == want_d.shape
+        assert np.max(np.abs(got_d - want_d)) <= carried
+    assert got[1].shape == want[1].shape
+    assert np.max(np.abs(got[1] - want[1])) <= carried
 
 
 def decomposition_energy(dec):
@@ -177,19 +230,77 @@ def test_wavedec_level_lengths_halve():
     assert dec.approx.size == 2
 
 
-@pytest.mark.parametrize("filt", [HAAR_LOWPASS, DB24_LOWPASS],
-                         ids=["haar", "db24"])
+@pytest.mark.parametrize("filt", [HAAR_LOWPASS], ids=["haar"])
 @pytest.mark.parametrize("n", [30000, 30001, 40])
 def test_wavedec_is_bitwise_the_two_extension_form(filt, n):
-    # 30000 has odd stages, and 40 stages shorter than the 48-tap filter,
-    # whose extension wraps around more than once
+    # 30000 has odd stages; the two-tap form takes the same two products and
+    # the same sum as the correlation did.  DB24 is held to rounding below
     x = gen_fgn(FgnSpec(0.7, n, 4))
     dec = wavedec(x, filt)
-    details, approx = two_extension_wavedec(x, filt)
+    details, approx, _ = two_extension_wavedec(x, filt)
     assert len(dec.details) == len(details)
     for got, want in zip(dec.details, details):
         assert np.array_equal(got, want)
     assert np.array_equal(dec.approx, approx)
+
+
+@pytest.mark.parametrize("n", [30000, 30001, 40])
+def test_wavedec_db24_within_rounding_of_the_two_extension_form(n):
+    # the banded product sums each output's 48 products in another order
+    # than np.correlate, so the two part by rounding only.  30000 and 30001
+    # have odd stages and first levels of several row chunks (a chunk holds
+    # 105 rows of 16 coefficients); at 40 the stages are shorter than the
+    # filter, whose periodic extension wraps around more than once
+    x = gen_fgn(FgnSpec(0.7, n, 4))
+    dec = wavedec(x, DB24_LOWPASS)
+    details, approx, stages = two_extension_wavedec(x, DB24_LOWPASS)
+    assert_within_cascade_rounding((dec.details, dec.approx),
+                                   (details, approx), stages, DB24_LOWPASS)
+
+
+@pytest.mark.parametrize("n", [40, 75, 128])
+def test_wavedec_db24_within_rounding_of_a_50_digit_cascade(n):
+    # 75 has odd stages, 40 wraps the filter around its stages; the oracle
+    # meets the same bound
+    x = np.random.default_rng(n).standard_normal(n)
+    want = mp_wavedec(x, DB24_LOWPASS)
+    dec = wavedec(x, DB24_LOWPASS)
+    details, approx, stages = two_extension_wavedec(x, DB24_LOWPASS)
+    assert_within_cascade_rounding((dec.details, dec.approx), want, stages,
+                                   DB24_LOWPASS)
+    assert_within_cascade_rounding((details, approx), want, stages,
+                                   DB24_LOWPASS)
+
+
+def test_haar_equal_pairs_have_exactly_zero_details():
+    # g0 * a + g1 * a with g1 = -g0 is exactly 0; a fused multiply-add
+    # would leave the rounding of g0 * a behind.  Runs of 64 equal samples
+    # halve at each level: the first six levels read equal pairs only
+    x = np.repeat(np.random.default_rng(5).standard_normal(8), 64)
+    dec = wavedec(x, HAAR_LOWPASS)
+    assert len(dec.details) == 9
+    for d in dec.details[:6]:
+        assert np.all(d == 0.0)
+    assert np.any(dec.details[6] != 0.0)
+
+
+def test_db24_constant_signal_has_rounding_level_details():
+    x = np.full(256, 3.25)
+    dec = wavedec(x, DB24_LOWPASS)
+    stages = two_extension_wavedec(x, DB24_LOWPASS)[2]
+    for d, stage in zip(dec.details, stages):
+        assert np.max(np.abs(d)) <= dot_rounding_bound(DB24_LOWPASS, stage)
+
+
+def test_wavedec_details_are_arrays_of_their_own():
+    # no detail is a strided view keeping a full-length product alive: at
+    # most the padding of the product's last row of 16 comes along
+    for n in (4096, 3001):
+        x = np.random.default_rng(n).standard_normal(n)
+        for lowpass in (HAAR_LOWPASS, DB24_LOWPASS):
+            for d in wavedec(x, lowpass).details:
+                assert d.flags.c_contiguous
+                assert d.base is None or d.base.size < d.size + 16
 
 
 @settings(deadline=None, max_examples=40)

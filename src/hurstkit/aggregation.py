@@ -7,13 +7,13 @@ out analytically; the paper's sizes above sqrt(N) are left out (README, "Block
 sizes of lssd and lsv").  LSSD solves the resulting fixed-point equation
 H = Phi(H); LSV minimizes a quartic fitting error on [0.001, 0.999].
 
-The input is standardized before blocking: partition.demeaned checks the
-floor of 100 samples and subtracts the mean, and the result is divided by
-its sample std.  The LSSD mapping is exactly scale-invariant so this is a
-no-op there, but the LSV objective mixes a scale-dependent data term
-(quartic in the input scale) with an absolute penalty H^{q+1}/(q+1);
-standardizing keeps the two terms on the intended footing for inputs of any
-magnitude.
+The block sums are differences of the profile the time-domain methods read
+(timedomain._profile and _block_sums, as in am and av), built from the
+series partition.demeaned returns (floor 100 samples), and each s_m is
+divided by that series' sample std.  The LSSD mapping is exactly
+scale-invariant so this is a no-op there, but the LSV objective mixes a
+scale-dependent data term (quartic in the input scale) with an absolute
+penalty H^{q+1}/(q+1); standardizing keeps the two terms on their footing.
 
 The two methods read the same profile of s_m, built once for both on a
 partition.PreparedSeries.
@@ -33,6 +33,7 @@ from .errors import (
 from .numerics import fixed_point_solve, loc_min_solve
 from .partition import as_series, demeaned, sample_std, shared
 from .results import build_result, clip_hurst, live_scales
+from .timedomain import _block_sums, _profile, fun_cm_lsv
 
 DEFAULT_WEIGHT_P = 2.0
 DEFAULT_LSV_WEIGHT_P = 6.0
@@ -57,21 +58,19 @@ def block_sum_std(x, m):
     return float(np.std(sums, ddof=1))
 
 
-def _block_sum_std_profile(arr, m_max):
-    """s_m for m = 1..m_max via running-total differences.
+def _block_sum_std_profile(y, m_max):
+    """s_m for m = 1..m_max of the series whose running total is `y`.
 
     Algebraically identical to calling block_sum_std per scale.  Each scale
-    reads its k + 1 block edges, k = N//m, as a strided view of the running
-    totals.  The std runs the ufuncs np.std(ddof=1) runs, in its order, and
-    its closing sqrt(ss / (k - 1)) once for all scales, so the profile is
-    bitwise the same without np.std's per-call overhead.
+    takes its k = N//m block sums as differences of y (_block_sums).  The
+    std runs the ufuncs np.std(ddof=1) runs, in its order, and its closing
+    sqrt(ss / (k - 1)) once for all scales, so the profile is bitwise
+    np.std's without its per-call overhead.
     """
-    totals = np.concatenate([[0.0], np.cumsum(arr)])
-    ks = arr.size // np.arange(1, m_max + 1)
+    ks = y.size // np.arange(1, m_max + 1)
     ss = np.empty(m_max)
     for m, k in enumerate(ks.tolist(), 1):
-        edges = totals[: k * m + 1 : m]
-        dev = edges[1:] - edges[:-1]
+        dev = _block_sums(y, m, y.size)
         dev -= np.add.reduce(dev) / k
         np.square(dev, out=dev)
         ss[m - 1] = np.add.reduce(dev)
@@ -158,12 +157,6 @@ def ctm_lssd(hurst, ctx):
     return float((a11 * (b2 - hurst**ctx.penalty_q) - a21 * b1) / denom)
 
 
-def fun_cm_lsv(m, n_total, hurst):
-    """Scaling correction (u - u^{2H-1})/(u - 1), u = N/m; equals 1 at H=1/2."""
-    u = n_total / np.asarray(m, dtype=float)
-    return (u - u ** (2.0 * hurst - 1.0)) / (u - 1.0)
-
-
 def obj_fun_lsv(hurst, ctx):
     """The LSV objective Phi(H) = sum s^4/m^p - a12^2/a11 + H^{q+1}/(q+1)."""
     m, weight, s_sq = ctx.scales, ctx.weight, ctx.stats_sq
@@ -181,23 +174,20 @@ def _max_block_size(n):
     return min(n // 10, math.isqrt(n))
 
 
-def _live_block_profile(arr):
-    """live_scales of s_m, m = 1.._max_block_size(N), standardized series."""
+def _live_block_profile(x, arr):
+    """live_scales of s_m / std(arr) to _max_block_size(N); arr is x demeaned."""
     spread = sample_std(arr)
     if spread == 0.0:
         raise DegenerateSequenceError("constant series has no block dispersion")
-    arr = arr / spread
-
     m_max = _max_block_size(arr.size)
-    return live_scales(
-        np.arange(1.0, m_max + 1.0), _block_sum_std_profile(arr, m_max)
-    )
+    stats = _block_sum_std_profile(_profile(x, arr), m_max) / spread
+    return live_scales(np.arange(1.0, m_max + 1.0), stats)
 
 
 def _block_context(x, p, q):
     arr = demeaned(x, 100)
     scales, stats, excluded = shared(
-        x, "block_profile", lambda: _live_block_profile(arr)
+        x, "block_profile", lambda: _live_block_profile(x, arr)
     )
     ctx = BlockSumContext(arr.size, float(p), float(q), scales, stats)
     return ctx, excluded

@@ -14,7 +14,7 @@ count.  The marks number about (1-alpha)*N*ln(N/w^2) + N/w, so the search
 costs O(N) array work and no Python loop over candidates.
 
 A PreparedSeries lets several estimators share one input: `demeaned`
-validates and demeans it once, and `shared` keeps what the estimators build
+validates, demeans and scales it once, and `shared` keeps what they build
 from it (a partition, a profile, a periodogram) for the next one to read.
 """
 
@@ -95,14 +95,15 @@ def _read_only(value):
 
 
 def demeaned(x, min_length=2):
-    """Validate with as_series, check the length floor, subtract the mean.
+    """Validate with as_series, check the length floor, subtract the mean
+    and scale by 2^-e, e the np.frexp exponent of max|deviation|.
 
     The prepare step of every estimator; `min_length` is the caller's floor.
-    Their statistics are mean-free by construction, so demeaning changes
-    nothing mathematically, but it makes shift invariance hold exactly in
-    floating point whenever the shifted inputs demean to identical arrays.
-    A PreparedSeries is validated and demeaned once; the floor is checked on
-    every call.
+    Their statistics are mean- and scale-free, so this changes nothing
+    mathematically, but every estimator sees deviations in [0.5, 1), and
+    shift and 2^k scaling invariance hold exactly whenever the inputs demean
+    to the same array up to 2^k.  A PreparedSeries is validated and demeaned
+    once; the floor is checked on every call.
     """
     source = x.source if isinstance(x, PreparedSeries) else x
     arr = shared(x, "series", lambda: as_series(source))
@@ -110,7 +111,12 @@ def demeaned(x, min_length=2):
         raise InsufficientDataError(
             f"need at least {min_length} samples, got {arr.size}"
         )
-    return shared(x, "demeaned", lambda: arr - arr.mean())
+    def build():
+        dev = arr - arr.mean()
+        # ldexp: 2.0**-e can leave the float range where dev * 2^-e does not
+        return np.ldexp(dev, -np.frexp(max(dev.max(), -dev.min()))[1], out=dev)
+
+    return shared(x, "demeaned", build)
 
 
 def cumulative_bias(x):

@@ -31,8 +31,7 @@ def _periodogram(x):
     series.  A bin whose real and imaginary parts are both at most
     log2(N) * eps * sum|x_j| is rounding noise around an exact 0 (the even
     bins of a 0/1 step, all but the last bin of a +-1 alternation) and
-    counts as 0, so that live_scales drops it.  The parts are compared, not
-    their squares, which could overflow where the parts do not.
+    counts as 0, so that live_scales drops it.
     """
     arr = demeaned(x, 100)
 

@@ -18,23 +18,24 @@ c_k(H) corrects am and av for measuring segment means against the grand mean
 of the k segments (see est_central).
 
 Every estimator starts from partition.demeaned, which also checks its
-minimum length, so shift invariance holds exactly in floating point whenever
-the shifted inputs demean to identical arrays.  am, av, dfa and rs then
-share one partition step (_partitioned), whose search needs w^2 samples,
-am, av, ghe, hm, dfa and tta one profile (_profile), dfa and rs one rule
-for dropping zero-spread segments (_live_segments), and all seven end in
-results.fit_result.  On a partition.PreparedSeries the partition of
-each w and the profile are built once for all the estimators that read
-them.  Every one of them drops a scale whose statistic is 0 by the same
-rule, results.live_scales.  am and av take each block mean as a difference
-of the profile; the window sizes of dfa and rs are independent passes over
-the prefix, so _map_scales spreads them over up to four threads once the
-prefix is long enough to repay it; each scale is computed as on one thread.
-am and av fit every window size of the partition, as the paper does; dfa
-and rs fit at most _MAX_FIT_SIZES of them and at most _SIZES_PER_DECADE per
-decade (_fit_sizes), all of them within both bounds and otherwise the
-divisors nearest a log-even grid, so a long series pays 48 passes over its
-prefix instead of 176 at N = 1e6, and N = 3e4 pays 20 instead of 30.
+minimum length and scales the deviations into [0.5, 1).  am, av, dfa and rs
+then share one partition step (_partitioned), whose search needs w^2
+samples, am, av, ghe, hm, dfa and tta one profile (_profile), which
+aggregation's lssd and lsv read too, dfa and rs one rule for dropping
+zero-spread segments (_live_segments), and all seven end in
+results.fit_result.  On a partition.PreparedSeries the partition of each w
+and the profile are built once for all the estimators that read them.  Every
+one of them drops a scale whose statistic is 0 by the same rule,
+results.live_scales.  am, av, lssd and lsv take block sums as differences of
+the profile (_block_sums); the window sizes of dfa and rs are independent
+passes over the prefix, so _map_scales spreads them over up to four threads
+once the prefix is long enough to repay it; each scale is computed as on one
+thread.  am and av fit every window size of the partition, as the paper
+does; dfa and rs fit at most _MAX_FIT_SIZES of them and at most
+_SIZES_PER_DECADE per decade (_fit_sizes), all of them within both bounds
+and otherwise the divisors nearest a log-even grid, so a long series pays 48
+passes over its prefix instead of 176 at N = 1e6, and N = 3e4 pays 20
+instead of 30.
 """
 
 import math
@@ -42,7 +43,6 @@ import math
 import numpy as np
 
 from . import _cpus
-from .aggregation import fun_cm_lsv
 from .errors import DegenerateSequenceError, DomainError, NoPartitionError
 # as_series, seq_partition and linear_regr_solver are not called here;
 # perfbench traces the names
@@ -140,28 +140,37 @@ def _profile(x, arr):
     return shared(x, "profile", lambda: cumulative_bias(arr))
 
 
+def _block_sums(y, m, n):
+    """Sums of the n//m size-m blocks of the series whose running total is y:
+    bitwise np.diff(y[m-1:n:m], prepend=0.0), by one subtraction."""
+    sums = np.empty(n // m)
+    sums[0] = y[m - 1]
+    np.subtract(y[2 * m - 1 : n : m], y[m - 1 : n - m : m], out=sums[1:])
+    return sums
+
+
 def _live_segments(spread, m, cause):
     """Keep the segments of size m whose spread is above 0.
 
     Returns the keep mask and the number of segments dropped; a scale that
-    loses every segment is a degenerate series, which `cause` describes.  A
-    spread (a square root, so never below 0) that overflowed to inf or NaN
-    is a DomainError, checked first.  One max pass (np.maximum.reduce, which
-    propagates NaN) decides what np.isfinite(spread).all() and
-    (spread > 0).any() would.
+    loses every segment is a degenerate series, which `cause` describes.
     """
-    hi = np.maximum.reduce(spread)
-    if not hi < math.inf:
-        raise DomainError(f"the spread of a segment of size {m} overflows")
-    if not hi > 0.0:
-        raise DegenerateSequenceError(f"every segment of size {m} {cause}")
     keep = spread > 0.0
-    return keep, int(keep.size - np.count_nonzero(keep))
+    live = np.count_nonzero(keep)
+    if not live:
+        raise DegenerateSequenceError(f"every segment of size {m} {cause}")
+    return keep, int(keep.size - live)
 
 
 def _mean(values):
     """values.mean() of a 1-D float array, by the ufunc .mean() calls."""
     return float(np.add.reduce(values) / values.size)
+
+
+def fun_cm_lsv(m, n_total, hurst):
+    """Scaling correction (u - u^{2H-1})/(u - 1), u = N/m; equals 1 at H=1/2."""
+    u = n_total / np.asarray(m, dtype=float)
+    return (u - u ** (2.0 * hurst - 1.0)) / (u - 1.0)
 
 
 def _grand_mean_factor(scales, n_opt, hurst, r):
@@ -190,16 +199,14 @@ def est_central(x, w=DEFAULT_WINDOW, r=1, flag=2):
     fit (diagnostic `uncorrected_hurst`) and reports one outside (0, 1) -- a
     trend, a random walk -- as it is.
 
-    Block means are differences of the profile at every m-th sample, one
-    in-place subtraction that is bitwise np.diff(..., prepend=0.0); the r=2
+    Block means are the block sums of _block_sums over m; the r=2
     statistic runs the ufuncs np.var(ddof=1) runs, in its order.
     """
     arr, n_opt, factors = _partitioned(x, w)
     y = _profile(x, arr)
 
     def scale_stat(m):
-        means = y[m - 1 : n_opt : m].copy()
-        means[1:] -= y[m - 1 : n_opt - m : m]
+        means = _block_sums(y, m, n_opt)
         means /= m
         if r == 1:
             return _mean(np.abs(means, out=means))  # grand mean is 0
@@ -281,10 +288,7 @@ def _detrended_stds(segments, flag):
         resid -= ((resid @ tc) / (tc @ tc))[:, None] * tc
         return np.sqrt(np.einsum("ij,ij->i", resid, resid) / (m - 1))
     a, b = lad_lines(t, segments)
-    # a residual past sqrt(max float) squares to inf here; _live_segments
-    # then raises the overflow DomainError
-    with np.errstate(over="ignore"):
-        return (segments - (a[:, None] + b[:, None] * t)).std(axis=1, ddof=1)
+    return (segments - (a[:, None] + b[:, None] * t)).std(axis=1, ddof=1)
 
 
 def est_dfa(x, w=DEFAULT_WINDOW, flag=2):

@@ -31,7 +31,12 @@ from hurstkit.errors import (
 from hurstkit.generators import FgnSpec, gen_fgn, gen_iid
 from hurstkit.harness import estimate_series
 from hurstkit.numerics import fixed_point_solve, loc_min_solve
-from hurstkit.partition import PreparedSeries, demeaned, sample_std
+from hurstkit.partition import (
+    PreparedSeries,
+    cumulative_bias,
+    demeaned,
+    sample_std,
+)
 from hurstkit.timedomain import est_central
 
 
@@ -72,7 +77,7 @@ def test_block_sum_std_validation():
 
 def test_block_profile_matches_literal():
     x = rand_series(1, 500)
-    profile = _block_sum_std_profile(x, 50)
+    profile = _block_sum_std_profile(np.cumsum(x), 50)
     for m in range(1, 51):
         assert profile[m - 1] == pytest.approx(block_sum_std(x, m), abs=1e-10)
 
@@ -94,7 +99,7 @@ def test_block_profile_matches_per_scale_loops(n):
     # and each still takes its own strided pass
     x = rand_series(n, n)
     m_max = n // 10
-    profile = _block_sum_std_profile(x, m_max)
+    profile = _block_sum_std_profile(np.cumsum(x), m_max)
     assert np.array_equal(profile, running_total_profile(x, m_max))
     # block sums by reshape round differently from running-total differences
     direct = np.array([block_sum_std(x, m) for m in range(1, m_max + 1)])
@@ -107,15 +112,15 @@ def test_block_profile_lone_scales_match_per_scale_loop():
     n = 100003
     x = rand_series(n, n)
     m_max = n // 10
-    assert np.array_equal(_block_sum_std_profile(x, m_max),
+    assert np.array_equal(_block_sum_std_profile(np.cumsum(x), m_max),
                           running_total_profile(x, m_max))
     # running totals of a series with mean 2 lose digits as n grows: against
     # reshaped block sums this one is off by up to 1.8e-12 relative, and the
-    # standardized series est_lssd passes by 5e-15
-    z = (x - x.mean()) / sample_std(x)
+    # profile of the demeaned series est_lssd reads by 5.6e-15
+    z = demeaned(x)
     direct = np.array([block_sum_std(z, m) for m in range(1, m_max + 1)])
-    np.testing.assert_allclose(_block_sum_std_profile(z, m_max), direct,
-                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_block_sum_std_profile(cumulative_bias(z), m_max),
+                               direct, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +413,13 @@ def test_block_sizes_stop_at_sqrt_n():
 @pytest.mark.parametrize("n", range(100, 110))
 def test_short_series_keep_every_size_to_n_over_10(n):
     # isqrt(N) = N//10 = 10 below 110 samples: the paper's sizes, and the
-    # estimates of the np.std profile over them, bitwise
+    # estimates of np.std of the shared profile's differences over them,
+    # bitwise
     x = rand_series(n, n)
     arr = demeaned(x)
-    stats = running_total_profile(arr / sample_std(arr), n // 10)
+    y = cumulative_bias(arr)
+    stats = np.array([np.std(np.diff(y[m - 1 :: m], prepend=0.0), ddof=1)
+                      for m in range(1, n // 10 + 1)]) / sample_std(arr)
     scales = np.arange(1.0, n // 10 + 1.0)
     ctx = BlockSumContext(n, 2.0, 50.0, scales, stats)
     raw = fixed_point_solve(lambda h: ctm_lssd(h, ctx), 0.5, 1e-4)

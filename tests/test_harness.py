@@ -594,19 +594,29 @@ def test_prepare_step_floor(method):
     assert np.isfinite(estimate_series(gen_iid("normal", floor, 3), method).hurst)
 
 
-def test_overflowed_statistic_is_fit_domain_error(tmp_path, capfd):
-    # the block-mean variances of fGn x 1e200 overflow to inf; the fitter
-    # must reject them before LAPACK sees them
-    x = 1e200 * gen_fgn(FgnSpec(0.7, 30000, 42))
-    path = tmp_path / "huge.txt"
-    path.write_text("".join(f"{v:.17g}\n" for v in x))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["estimate", "--input", str(path), "--method", "av",
-                     "--norm", "1"])
-    out, err = capfd.readouterr()
-    assert code == 2
-    assert "av: non-finite y entry at index" in err
-    assert "Traceback" not in err and "DLASCL" not in out
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [gen_fgn(FgnSpec(0.7, 30000, 42)),
+                               gen_iid("normal", 10000, 7)],
+                         ids=["fgn", "iid-normal"])
+def test_power_of_two_scaling_is_bitwise(x):
+    # demeaned scales the deviations by a power of two into [0.5, 1), so an
+    # exact scaling of the input changes no bit of any result while no
+    # deviation turns subnormal
+    for method in METHODS:
+        want = estimate_series(x, method).to_dict()
+        for k in (-600, -40, 40, 600):
+            got = estimate_series(np.ldexp(x, k), method).to_dict()
+            assert got == want, (method, k)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 2.0**1000, 2.0**-1000],
+                         ids=["x1e200", "x2^1000", "x2^-1000"])
+def test_extreme_magnitudes_estimate_without_warnings(scale):
+    # squares of the raw deviations would overflow or underflow here
+    x = scale * gen_fgn(FgnSpec(0.7, 30000, 42))
+    for method in METHODS:
+        assert math.isfinite(estimate_series(x, method).hurst), method
 
 
 def test_lssd_overflow_is_nonconvergence(tmp_path, capsys):

@@ -66,7 +66,8 @@ def test_as_series_returns_float64_copy():
 def test_demeaned_checks_floor_then_subtracts_mean():
     with pytest.raises(InsufficientDataError, match="^need at least 4 samples, got 3$"):
         demeaned([1.0, 2.0, 6.0], 4)
-    assert demeaned([1.0, 2.0, 6.0]).tolist() == [-2.0, -1.0, 3.0]
+    # deviations -2, -1, 3 scaled by 2^-2, which brings max|x| into [0.5, 1)
+    assert demeaned([1.0, 2.0, 6.0]).tolist() == [-0.5, -0.25, 0.75]
     with pytest.raises(ArgumentError):
         demeaned([1.0, math.nan, 2.0], 2)
 

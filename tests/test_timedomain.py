@@ -296,15 +296,15 @@ def test_ghe_validation():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale, q", [(1.0, 400.0), (1e200, 2.0)])
-def test_ghe_moment_that_overflows_names_q_order(scale, q):
+def test_ghe_moment_that_overflows_names_q_order():
     # |dY|^q past the float range used to warn and then fail in the fitter
-    # as "non-finite y entry", which named neither the option nor the stage
+    # as "non-finite y entry", which named neither the option nor the stage.
+    # Y is the profile of the series demeaned scales into [0.5, 1) at any
+    # input magnitude: on fGn q_order = 1000 overflows it, 400 does not
     x = gen_fgn(FgnSpec(0.7, 30000, 42))
-    x = scale * x / x.std()
-    match = rf"^ghe: \|dY\|\^q_order overflows at q_order = {q!r}$"
+    match = r"^ghe: \|dY\|\^q_order overflows at q_order = 1000.0$"
     with pytest.raises(DomainError, match=match):
-        hurstkit.estimate_series(x, "ghe", q_order=q)
+        hurstkit.estimate_series(x, "ghe", q_order=1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -724,27 +724,8 @@ def test_rs_constant_series_degenerate():
         est_rs(np.full(600, 1.0), w=5)
 
 
-@pytest.mark.parametrize("estimate", [
-    lambda x: est_rs(x),
-    lambda x: est_rs(x, corrected=True),
-    lambda x: est_dfa(x),
-    lambda x: est_dfa(x, flag=1),
-], ids=["rs", "rs-corrected", "dfa", "dfa-norm1"])
-def test_overflowed_segment_spreads_are_a_domain_error(estimate):
-    # every segment std of 1e200 x fGn is inf: rs read each R/S ratio as 0,
-    # and the corrected statistic as a function of m alone, a plausible H.
-    # Warnings are errors here, so the norm=1 std's overflow in its square
-    # must stay silent until the DomainError
-    x = 1e200 * gen_fgn(FgnSpec(0.7, 3000, 42))
-    with pytest.raises(DomainError,
-                       match="^the spread of a segment of size 50 overflows$"):
-        estimate(x)
-
-
 def mask_live_segments(spread, m, cause):
-    """_live_segments as written before its max pass."""
-    if not np.isfinite(spread).all():
-        raise DomainError(f"the spread of a segment of size {m} overflows")
+    """_live_segments as written with np.any and np.sum."""
     keep = spread > 0.0
     if not keep.any():
         raise DegenerateSequenceError(f"every segment of size {m} {cause}")

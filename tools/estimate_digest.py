@@ -22,15 +22,16 @@ enough for dfa and rs to spread their window sizes over threads
 differences of the longest running total; fGn at N = 1000, where lssd and
 lsv fit isqrt(N) = 31 block sizes and am, av, dfa and rs raise
 InsufficientDataError below w^2 samples; the edge cases step, ramp, random
-walk, constant, arange % 7, fGn x 1e200 and a length of 2503, which leaves
-the partition search one window size at the default window; and i.i.d.
+walk, constant, arange % 7, fGn x 1e200 and its twin on the underflow side,
+fGn x 2^-1000, and a length of 2503, which leaves the partition search one
+window size at the default window; and i.i.d.
 normal series at FLOOR_LENGTHS, one below and at each method's minimum
 length (ghe 21, tta 41, awc/vvl 64, hm 65, pm/lw/lssd/lsv 100).
 Every case runs through all 13 methods under each option set of OPTIONS,
 one task per case and method on a process pool with a worker per usable CPU.
-On a 2-vCPU VM the pool of two took 15-16 s against 27 s serially (one CPU);
-the slowest task is dfa on the N = 3e5 case, about 5 s with norm=1, where it
-visits 41 of the partition's 90 window sizes.
+On a 2-vCPU Xeon VM the pool of two took 13 s against 20 s serially (one
+CPU); the slowest task is dfa on the N = 3e5 case, about 5 s with norm=1,
+where it visits 41 of the partition's 90 window sizes.
 """
 
 import multiprocessing
@@ -70,6 +71,7 @@ def cases():
     yield "constant", np.full(10000, 1.0)
     yield "mod7", (np.arange(10000) % 7).astype(float)
     yield "fgn-x1e200", 1e200 * gen_fgn(FgnSpec(0.7, 30000, 42))
+    yield "fgn-x2^-1000", 2.0**-1000 * gen_fgn(FgnSpec(0.7, 30000, 42))
     yield "fgn-n2503", gen_fgn(FgnSpec(0.7, 2503, 42))
     for n in FLOOR_LENGTHS:
         yield f"iid-normal-n{n}", gen_iid("normal", n, 3)
